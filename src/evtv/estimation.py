@@ -176,9 +176,7 @@ def fit_logistic(
             SeparationWarning,
             stacklevel=2,
         )
-    beta, iterations, gmax, status = _kernels.active_backend().fit_logistic(
-        x, y, w, FIT_TOL, FIT_MAX_ITER
-    )
+    beta, iterations, gmax, status = _kernels.fit_logistic(x, y, w, FIT_TOL, FIT_MAX_ITER)
     if status == _kernels.FIT_SINGULAR:
         raise SingularDesign("design matrix is collinear on the observed data")
     if not constant_response and np.max(np.abs(beta)) > SEPARATION_BOUND:
@@ -305,30 +303,37 @@ def bootstrap_ci(
 ) -> tuple[float, float]:
     """Percentile bootstrap interval for the marginal risk ratio.
 
-    Subjects are resampled with replacement; each replicate re-runs the
-    whole weight-and-fit pipeline.  Replicate r draws its indices from
-    the stream (seed, bootstrap domain, r), so the interval is
-    deterministic for fixed inputs no matter how replicates are
-    scheduled.  Replicates that fail (positivity, separation, collinear
-    or boundary fits) are dropped; more than 10 percent failing raises
-    BootstrapFailure.
+    Subjects are resampled with replacement.  Replicate r draws its
+    indices from the stream (seed, bootstrap domain, r), so the interval
+    is deterministic for fixed inputs.  The weight-and-fit pipeline
+    depends on a cohort only through its 32 binary-history cell counts,
+    so each replicate keeps just the counts of its resample and one
+    batched fit (_kernels.rr_cells) estimates every replicate at once.
+    Replicates that fail (positivity, separation, collinear or boundary
+    fits) are dropped; more than 10 percent failing raises
+    BootstrapFailure, whose message counts the failures by reason.
     """
     reps = int(replicates)
     if reps < 100:
         raise ValueError(f"replicates must be >= 100, got {replicates!r}")
     seed = _rng.check_seed(seed)
-    l0, a0, l1, a1, y = cohort_arrays(cohort)
-    n = y.shape[0]
-    idx = np.empty((reps, n), dtype=np.int64)
+    cells = _kernels.cell_ids(*cohort_arrays(cohort))
+    n = cells.shape[0]
+    counts = np.empty((reps, _kernels.N_CELLS))
     for r in range(reps):
-        gen = _rng.stream(seed, _rng.BOOTSTRAP_DOMAIN, r)
-        idx[r] = gen.integers(0, n, size=n)
-    rr, status = _kernels.active_backend().bootstrap_rrs(l0, a0, l1, a1, y, idx)
+        idx = _rng.stream(seed, _rng.BOOTSTRAP_DOMAIN, r).integers(0, n, size=n)
+        counts[r] = np.bincount(cells[idx], minlength=_kernels.N_CELLS)
+    rr, status = _kernels.rr_cells(counts)
     kept = (status == _kernels.REP_OK) | (status == _kernels.REP_NOT_CONVERGED)
     failures = reps - int(kept.sum())
     if failures * 10 > reps:
+        by_reason = ", ".join(
+            f"{_kernels.REP_NAMES[code]} {k}"
+            for code, k in enumerate(np.bincount(status, minlength=len(_kernels.REP_NAMES)))
+            if k and code not in (_kernels.REP_OK, _kernels.REP_NOT_CONVERGED)
+        )
         raise BootstrapFailure(
-            f"{failures} of {reps} bootstrap replicates failed; "
+            f"{failures} of {reps} bootstrap replicates failed ({by_reason}); "
             "the cohort is too fragile for resampling"
         )
     values = np.sort(rr[kept])

@@ -48,8 +48,8 @@ ENUM_OBSERVED_L1 = 1.8140339423946537
 ENUM_ZEROED_CONFOUNDING = 1.4912248058116115
 
 # reference-seed fixture: defaults, n = 1000, seed 7, 1000 bootstrap
-# replicates; recorded from this implementation and frozen as a
-# regression guard (backends agree well inside the 1e-9 tolerance)
+# replicates; recorded from the per-row bootstrap pipeline and frozen as
+# a regression guard (the cell-count engine agrees to ~1e-15)
 REFERENCE_SEED = 7
 REFERENCE_RR_OBS = 1.8474036216036884
 REFERENCE_CI = (1.6085976049082156, 2.172189615230659)
@@ -70,25 +70,19 @@ def report(num: int, label: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def warm_backend():
-    # pay any one-time JIT cost before the timed studies
-    run_experiment(SimulationParams(n=60), 1, bootstrap_replicates=0)
-
-
-@pytest.fixture(scope="module")
-def default_study(warm_backend):
+def default_study():
     t0 = time.perf_counter()
     results = run_replications(SimulationParams(), REPLICATION_SEED, 500)
     return results, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def zeroed_study(warm_backend):
+def zeroed_study():
     return run_replications(ZEROED_PARAMS, ZEROED_SEED, 300)
 
 
 @pytest.fixture(scope="module")
-def reference_experiment(warm_backend):
+def reference_experiment():
     return run_experiment(SimulationParams(), REFERENCE_SEED, 1000)
 
 

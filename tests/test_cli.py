@@ -340,7 +340,7 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 0
 
     def test_pipeline_subprocess(self, tmp_path):
-        env = dict(os.environ, EVTV_BACKEND="numpy")
+        env = dict(os.environ)
         env.pop("EVTV_SEED", None)
         cohort = tmp_path / "cohort.csv"
         sim = subprocess.run(

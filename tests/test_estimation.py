@@ -264,8 +264,13 @@ class TestBootstrapCi:
                     int(rng.random() < 0.5),
                 )
             )
-        with pytest.raises(BootstrapFailure):
+        with pytest.raises(BootstrapFailure) as info:
             bootstrap_ci(records, replicates=200, seed=1)
+        # failures are counted by reason, in status-code order
+        assert str(info.value).startswith(
+            "200 of 200 bootstrap replicates failed "
+            "(arm missing 112, singular 83, separated 5);"
+        )
 
     def test_bad_seed_rejected(self):
         cohort = random_cohort(200, 21)
