@@ -4,17 +4,17 @@ Two plain-numpy engines share one Newton step rule (the `_chol_solve`
 pivot test, FIT_TOL, FIT_MAX_ITER and the log-likelihood acceptance
 test):
 
-- `fit_logistic` fits one model on per-row data; the point estimate in
-  `estimation` uses it.
+- `fit_logistic` fits one model on per-row data (`estimation.fit_logistic`).
 - `fit_batched` fits one design under R weight vectors at once, with
   per-replicate masks for convergence, step-halving and status.
 
 Every subject of the two-timepoint design is one of 2**5 = 32 binary
 histories (l0, a0, l1, a1, y), so all five models of the weight-and-fit
 pipeline depend on a cohort only through its 32 cell counts.
-`rr_cells` runs that pipeline on an (R, 32) array of counts, one
-bootstrap replicate per row, with one `fit_batched` call per model.
-Each replicate's result depends only on its own row.
+`rr_cells` runs that pipeline on an (R, 32) array of counts, one cohort
+or bootstrap replicate per row, in two stages (`weight_cells`,
+`outcome_cells`) of one `fit_batched` call per model.  Each row's
+result depends only on that row.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ FIT_CONVERGED = 0
 FIT_MAXITER = 1
 FIT_SINGULAR = 2
 
-# per-replicate pipeline statuses; OK and NOT_CONVERGED carry usable estimates
+# pipeline statuses; OK and NOT_CONVERGED are usable, every higher code is a failure
 REP_OK = 0
 REP_NOT_CONVERGED = 1
 REP_ARM_MISSING = 2
@@ -39,16 +39,6 @@ REP_POSITIVITY = 3
 REP_SINGULAR = 4
 REP_SEPARATED = 5
 REP_DEGENERATE = 6
-
-REP_NAMES = {
-    REP_OK: "ok",
-    REP_NOT_CONVERGED: "not converged",
-    REP_ARM_MISSING: "arm missing",
-    REP_POSITIVITY: "positivity",
-    REP_SINGULAR: "singular",
-    REP_SEPARATED: "separated",
-    REP_DEGENERATE: "degenerate",
-}
 
 N_CELLS = 32
 
@@ -62,6 +52,8 @@ _X_N0 = _ONE[:, None]
 _X_D1 = np.column_stack([_ONE, _A0, _L0, _L1])
 _X_N1 = np.column_stack([_ONE, _A0])
 _X_M = np.column_stack([_ONE, _A0, _A1])
+# (design, treatment) of the denominator and numerator models at each time
+_TREATMENT_MODELS = ((_X_D0, _A0), (_X_N0, _A0), (_X_D1, _A1), (_X_N1, _A1))
 
 
 def cell_ids(l0, a0, l1, a1, y) -> np.ndarray:
@@ -143,10 +135,10 @@ def _expit(eta):
 
 
 def _loglik(w, y, eta):
-    # weighted Bernoulli log-likelihood, summed over the last axis
-    return np.sum(
-        w * (y * eta - (np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0))), axis=-1
-    )
+    # weighted Bernoulli log-likelihood summed over the last axis (+= saves a temporary)
+    t = np.log1p(np.exp(-np.abs(eta)))
+    t += np.maximum(eta, 0.0)
+    return np.sum(w * (y * eta - t), axis=-1)
 
 
 def fit_logistic(x, y, w, tol, max_iter):
@@ -155,16 +147,12 @@ def fit_logistic(x, y, w, tol, max_iter):
     Step-halving keeps the likelihood from decreasing.  Returns
     (beta, iterations, max |gradient|, FIT_* status).
     """
-    # the likelihood and expit are written out here, not taken from
-    # _loglik/_expit: on n=1e5 cohorts the helpers' order of temporary
-    # allocations raised the process's peak RSS by about 3 MB
     n, d = x.shape
     beta = np.zeros(d)
     eta = np.zeros(n)
-    ll = np.sum(w * (y * eta - (np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0))))
+    ll = _loglik(w, y, eta)
     for it in range(max_iter):
-        e = np.exp(-np.abs(eta))
-        mu = np.where(eta >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        mu = _expit(eta)
         grad = x.T @ (w * (y - mu))
         gmax = np.max(np.abs(grad))
         if gmax < tol:
@@ -178,13 +166,7 @@ def fit_logistic(x, y, w, tol, max_iter):
         for _ in range(30):
             cand = beta + scale * step
             cand_eta = x @ cand
-            cand_ll = np.sum(
-                w
-                * (
-                    y * cand_eta
-                    - (np.log1p(np.exp(-np.abs(cand_eta))) + np.maximum(cand_eta, 0.0))
-                )
-            )
+            cand_ll = _loglik(w, y, cand_eta)
             if cand_ll >= ll - 1e-12 * (1.0 + abs(ll)):
                 break
             scale *= 0.5
@@ -193,10 +175,7 @@ def fit_logistic(x, y, w, tol, max_iter):
         beta = cand
         eta = cand_eta
         ll = cand_ll
-    e = np.exp(-np.abs(eta))
-    mu = np.where(eta >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    grad = x.T @ (w * (y - mu))
-    gmax = np.max(np.abs(grad))
+    gmax = np.max(np.abs(x.T @ (w * (y - _expit(eta)))))
     status = FIT_CONVERGED if gmax < tol else FIT_MAXITER
     return beta, max_iter, gmax, status
 
@@ -257,6 +236,7 @@ def fit_batched(x, y, w, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
         for i in range(d):
             for j in range(i + 1):
                 hess[:, i, j] = hess[:, j, i] = np.sum(curv * (x[:, i] * x[:, j]), axis=1)
+        del mu, curv  # free two (R, m) arrays before the step-halving peak
         step, solved = _chol_solve_batched(hess, grad)
         singular = ~converged & ~solved
         # step-halving: every pending replicate tries scales 1, 1/2, ...
@@ -296,86 +276,87 @@ def fit_batched(x, y, w, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
     return beta_out, iters, gmax_out, status
 
 
+def _prob(beta, x, arm):
+    # fitted probability of the treatment each cell received
+    p = 1.0 / (1.0 + np.exp(-_linear(beta, x)))
+    return np.where(arm == 1.0, p, 1.0 - p)
+
+
+def weight_cells(counts):
+    """Stabilized weight sw (R, 32) of each cell and status (R,) of each
+    row of counts (R, 32), from the four treatment models.  sw is NaN in a
+    failed row and may be 0 or inf in an empty cell.  First match wins: a
+    missing treatment arm, a singular fit, a coefficient beyond
+    SEPARATION_BOUND, a fitted treatment probability below
+    POSITIVITY_FLOOR in an occupied cell, a fit stopped before
+    convergence (REP_NOT_CONVERGED, usable)."""
+    c = np.asarray(counts, dtype=np.float64)
+    n = c.sum(axis=1)
+    treated = np.stack([c[:, _A0 == 1.0].sum(axis=1), c[:, _A1 == 1.0].sum(axis=1)])
+    live = np.flatnonzero(np.all((treated > 0.0) & (treated < n), axis=0))
+    cl = c[live]
+    fits = [fit_batched(x, arm, cl) for x, arm in _TREATMENT_MODELS]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pd0a, pn0a, pd1a, pn1a = (_prob(f[0], *m) for f, m in zip(fits, _TREATMENT_MODELS))
+        sw_live = (pn0a / pd0a) * (pn1a / pd1a)
+    fit_status = np.array([f[3] for f in fits])
+    # statuses are written lowest priority first, so the first check listed above wins
+    st = np.where(np.any(fit_status == FIT_MAXITER, axis=0), REP_NOT_CONVERGED, REP_OK)
+    floor = np.where(cl > 0.0, np.minimum(pd0a, pd1a), np.inf).min(axis=1, initial=np.inf)
+    st[floor < POSITIVITY_FLOOR] = REP_POSITIVITY
+    separated = np.any([np.max(np.abs(f[0]), axis=1) > SEPARATION_BOUND for f in fits], axis=0)
+    st[separated] = REP_SEPARATED
+    st[np.any(fit_status == FIT_SINGULAR, axis=0)] = REP_SINGULAR
+    status = np.full(c.shape[0], REP_ARM_MISSING)
+    status[live] = st
+    sw = np.full(c.shape, np.nan)
+    sw[live[st <= REP_NOT_CONVERGED]] = sw_live[st <= REP_NOT_CONVERGED]
+    return sw, status
+
+
+def outcome_cells(weights):
+    """Fit logit P(Y | A0, A1) = a + b*A0 + c*A1 on the total weight of
+    each cell, weights (R, 32); return the always- and never-treated
+    probabilities p11, p00 (NaN in a failed row) and status (R,).  First
+    match wins: a singular fit, a coefficient beyond SEPARATION_BOUND, a
+    probability within BOUNDARY_FLOOR of 0 or 1 (degenerate), a fit
+    stopped before convergence (REP_NOT_CONVERGED, usable)."""
+    bm, _, _, st = fit_batched(_X_M, _Y, weights)
+    with np.errstate(over="ignore"):
+        p11 = 1.0 / (1.0 + np.exp(-(bm[:, 0] + bm[:, 1] + bm[:, 2])))
+        p00 = 1.0 / (1.0 + np.exp(-bm[:, 0]))
+    # statuses are written lowest priority first, so the first check listed above wins
+    status = np.where(st == FIT_MAXITER, REP_NOT_CONVERGED, REP_OK)
+    lo, hi = np.minimum(p00, p11), np.maximum(p00, p11)
+    status[(lo < BOUNDARY_FLOOR) | (hi > 1.0 - BOUNDARY_FLOOR)] = REP_DEGENERATE
+    status[np.max(np.abs(bm), axis=1) > SEPARATION_BOUND] = REP_SEPARATED
+    status[st == FIT_SINGULAR] = REP_SINGULAR
+    p11[status > REP_NOT_CONVERGED] = np.nan
+    p00[status > REP_NOT_CONVERGED] = np.nan
+    return p11, p00, status
+
+
 def rr_cells(counts):
     """Stabilized-weight IPW risk ratio for each row of cell counts.
 
     counts is (R, 32): row r holds how many subjects of replicate r fall
-    in each cell (see cell_ids).  Fits the four treatment models, forms
-    stabilized weights per cell, fits the weighted marginal outcome
-    model and returns (rr (R,), status (R,)), rr NaN where the status
-    is not REP_OK or REP_NOT_CONVERGED.  Checks run in this order: a
-    missing treatment arm, a constant outcome (separated), a singular
-    treatment fit, a treatment coefficient beyond SEPARATION_BOUND, a
-    fitted treatment probability below POSITIVITY_FLOOR in an occupied
-    cell, a singular or separated outcome fit, an outcome probability
-    within BOUNDARY_FLOOR of 0 or 1 (degenerate), and last any fit that
-    stopped before convergence.
+    in each cell (see cell_ids).  Runs weight_cells, then outcome_cells
+    on the weighted counts; returns (rr, status, p11, p00, sw) with rr,
+    p11, p00 NaN in failed rows.  A constant outcome fails as separated,
+    checked after the treatment arms and before the treatment fits.
     """
     c = np.asarray(counts, dtype=np.float64)
     if c.ndim != 2 or c.shape[1] != N_CELLS:
         raise ValueError(f"counts must have shape (R, {N_CELLS}), got {c.shape}")
-    reps = c.shape[0]
-    rr = np.full(reps, np.nan)
-    status = np.full(reps, REP_OK, dtype=np.int64)
-    n = c.sum(axis=1)
-    sa0 = c[:, _A0 == 1.0].sum(axis=1)
-    sa1 = c[:, _A1 == 1.0].sum(axis=1)
+    sw, status = weight_cells(c)
     sy = c[:, _Y == 1.0].sum(axis=1)
-    status[(sa0 == 0.0) | (sa0 == n) | (sa1 == 0.0) | (sa1 == n)] = REP_ARM_MISSING
-    status[(status == REP_OK) & ((sy == 0.0) | (sy == n))] = REP_SEPARATED
-
-    live = np.flatnonzero(status == REP_OK)
-    cl = c[live]
-    fits = [
-        fit_batched(x, resp, cl)
-        for x, resp in ((_X_D0, _A0), (_X_N0, _A0), (_X_D1, _A1), (_X_N1, _A1))
-    ]
-    singular = np.any([f[3] == FIT_SINGULAR for f in fits], axis=0)
-    separated = np.any([np.max(np.abs(f[0]), axis=1) > SEPARATION_BOUND for f in fits], axis=0)
-    maxiter = np.any([f[3] == FIT_MAXITER for f in fits], axis=0)
-    status[live[singular]] = REP_SINGULAR
-    status[live[~singular & separated]] = REP_SEPARATED
-    ok = ~singular & ~separated
-    live, cl, maxiter = live[ok], cl[ok], maxiter[ok]
-    (bd0, bn0, bd1, bn1) = (f[0][ok] for f in fits)
-
-    def prob(beta, x, arm):
-        p = 1.0 / (1.0 + np.exp(-_linear(beta, x)))
-        return np.where(arm == 1.0, p, 1.0 - p)
-
-    pd0a = prob(bd0, _X_D0, _A0)
-    pd1a = prob(bd1, _X_D1, _A1)
-    occupied = cl > 0.0
-    floor = np.minimum(
-        np.where(occupied, pd0a, np.inf).min(axis=1, initial=np.inf),
-        np.where(occupied, pd1a, np.inf).min(axis=1, initial=np.inf),
-    )
-    positivity = floor < POSITIVITY_FLOOR
-    status[live[positivity]] = REP_POSITIVITY
-    ok = ~positivity
-    live, cl, occupied, maxiter = live[ok], cl[ok], occupied[ok], maxiter[ok]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sw = (prob(bn0[ok], _X_N0, _A0) / pd0a[ok]) * (prob(bn1[ok], _X_N1, _A1) / pd1a[ok])
-        # an empty cell may have a fitted probability of exactly 0 or 1
-        # and so sw = inf; it must carry weight 0, not 0 * inf = NaN
-        wm = np.where(occupied, cl * sw, 0.0)
-
-    bm, _, _, st = fit_batched(_X_M, _Y, wm)
-    status[live[st == FIT_SINGULAR]] = REP_SINGULAR
-    separated = (st != FIT_SINGULAR) & (np.max(np.abs(bm), axis=1) > SEPARATION_BOUND)
-    status[live[separated]] = REP_SEPARATED
-    ok = (st != FIT_SINGULAR) & ~separated
-    live, bm, maxiter = live[ok], bm[ok], maxiter[ok] | (st[ok] == FIT_MAXITER)
-    p11 = 1.0 / (1.0 + np.exp(-(bm[:, 0] + bm[:, 1] + bm[:, 2])))
-    p00 = 1.0 / (1.0 + np.exp(-bm[:, 0]))
-    degenerate = (
-        (p00 < BOUNDARY_FLOOR)
-        | (p00 > 1.0 - BOUNDARY_FLOOR)
-        | (p11 < BOUNDARY_FLOOR)
-        | (p11 > 1.0 - BOUNDARY_FLOOR)
-    )
-    status[live[degenerate]] = REP_DEGENERATE
-    good = ~degenerate
-    status[live[good & maxiter]] = REP_NOT_CONVERGED
-    rr[live[good]] = p11[good] / p00[good]
-    return rr, status
+    status[(status != REP_ARM_MISSING) & ((sy == 0.0) | (sy == c.sum(axis=1)))] = REP_SEPARATED
+    live = np.flatnonzero(status <= REP_NOT_CONVERGED)
+    # an empty cell may have a fitted probability of exactly 0 or 1 and
+    # so sw = inf; it must carry weight 0, not 0 * inf = NaN
+    with np.errstate(invalid="ignore"):
+        wm = np.where(c[live] > 0.0, c[live] * sw[live], 0.0)
+    p11, p00 = np.full((2, c.shape[0]), np.nan)
+    p11[live], p00[live], st = outcome_cells(wm)
+    status[live] = np.where(st == REP_OK, status[live], st)
+    return p11 / p00, status, p11, p00, sw

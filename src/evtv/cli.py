@@ -18,7 +18,7 @@ import warnings
 from typing import Optional
 
 from . import __version__, report, simulation
-from .estimation import EstimationError, bootstrap_ci, fit_msm, stabilized_weights
+from .estimation import EstimationError
 from .evalue import (
     EffectEstimate,
     build_report,
@@ -116,17 +116,18 @@ def _estimate_from_args(args) -> EffectEstimate:
     )
 
 
+def _curve_points(args) -> int:
+    if args.curve is None:
+        return 0
+    if args.timepoints != 2:
+        print("note: trade-off curves exist only for two time points; omitting", file=sys.stderr)
+        return 0
+    return args.curve
+
+
 def _cmd_evalue(args) -> str:
     estimate = _estimate_from_args(args)
-    curve_points = 0
-    if args.curve is not None:
-        if args.timepoints != 2:
-            print(
-                "note: trade-off curves exist only for two time points; omitting",
-                file=sys.stderr,
-            )
-        else:
-            curve_points = args.curve
+    curve_points = _curve_points(args)
     normalized = normalize_estimate(estimate)
     rep = build_report(estimate, args.timepoints, curve_points)
     if args.human:
@@ -218,27 +219,9 @@ def _cmd_simulate(args) -> str:
 def _cmd_analyze(args) -> str:
     records = report.read_cohort_csv(args.input)
     seed = _resolve_seed(args)
-    weights = stabilized_weights(records)
-    msm = fit_msm(records, weights)
-    if args.bootstrap:
-        lo, hi = bootstrap_ci(records, args.bootstrap, seed)
-        msm = dataclasses.replace(
-            msm, ci_lower=min(lo, msm.rr_obs), ci_upper=max(hi, msm.rr_obs)
-        )
-    estimate = EffectEstimate(
-        measure="rr", value=msm.rr_obs, ci_lower=msm.ci_lower, ci_upper=msm.ci_upper
+    msm, estimate, normalized, rep = simulation.analyze_cohort(
+        records, args.bootstrap, seed, args.timepoints, _curve_points(args)
     )
-    normalized = normalize_estimate(estimate)
-    curve_points = 0
-    if args.curve is not None:
-        if args.timepoints != 2:
-            print(
-                "note: trade-off curves exist only for two time points; omitting",
-                file=sys.stderr,
-            )
-        else:
-            curve_points = args.curve
-    rep = build_report(estimate, args.timepoints, curve_points)
     return report.write_analysis_json(msm, estimate, normalized, rep)
 
 

@@ -6,6 +6,9 @@ never treated.  Weights stabilize with marginal treatment models in the
 numerator and condition on measured history in the denominator, so the
 estimate is unbiased only under no unmeasured confounding; quantifying
 robustness to that assumption is the job of the evalue module.
+
+Every estimate comes from 32 binary-history cell counts (_kernels.rr_cells or its stages),
+and one table, _FAILURES, turns a failed status into its error for every kind of estimate.
 """
 from __future__ import annotations
 
@@ -134,10 +137,6 @@ def cohort_arrays(
     return tuple(np.ascontiguousarray(row) for row in out)
 
 
-def _expit(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def fit_logistic(
     design: np.ndarray,
     response: np.ndarray,
@@ -194,11 +193,46 @@ def fit_logistic(
     )
 
 
-def _design(*columns: np.ndarray) -> np.ndarray:
-    out = np.empty((columns[0].shape[0], len(columns)))
-    for j, c in enumerate(columns):
-        out[:, j] = c
-    return out
+# error class, name in failure counts and message of each failed _kernels.REP_* status
+_FAILURES = {
+    _kernels.REP_ARM_MISSING: (PositivityViolation, "arm missing",
+                               "a treatment arm is empty at one time point"),
+    _kernels.REP_POSITIVITY: (PositivityViolation, "positivity",
+                              "a subject's fitted treatment probability is below "
+                              f"{_kernels.POSITIVITY_FLOOR:.0e}"),
+    _kernels.REP_SINGULAR: (SingularDesign, "singular", "design matrix is collinear"),
+    _kernels.REP_SEPARATED: (EstimationError, "separated",
+                             "separated fit: constant outcome or a coefficient beyond "
+                             f"{SEPARATION_BOUND:g}; the risk ratio is not identified"),
+    _kernels.REP_DEGENERATE: (EstimationError, "degenerate",
+                              "degenerate fit: the outcome model reached a probability "
+                              "boundary; the risk ratio is undefined"),
+}
+
+
+def _raise_failure(status: int) -> None:
+    failure = _FAILURES.get(int(status))
+    if failure is not None:
+        raise failure[0](failure[2])
+
+
+def _msm_result(status, p11, p00, weight_mean, weight_max) -> MsmResult:
+    # one row of an estimate: its error if it failed, else its MsmResult
+    _raise_failure(status)
+    if not 0.8 <= weight_mean <= 1.2:
+        warnings.warn(
+            f"mean stabilized weight {weight_mean:.3f} outside [0.8, 1.2]; "
+            "check the treatment models",
+            WeightDiagnosticWarning,
+            stacklevel=3,
+        )
+    p11, p00 = float(p11), float(p00)
+    return MsmResult(p11 / p00, p11, p00, float(weight_mean), float(weight_max))
+
+
+def cohort_cells(cohort: Sequence[CohortRecord]) -> np.ndarray:
+    """Cell index 0..31 of each subject (see _kernels.cell_ids)."""
+    return _kernels.cell_ids(*cohort_arrays(cohort))
 
 
 def stabilized_weights(
@@ -210,38 +244,16 @@ def stabilized_weights(
     The denominator models condition on measured history, P(A0 | L0) and
     P(A1 | A0, L0, L1); the numerators are the marginal P(A0) and the
     A0-conditional P(A1 | A0), which stabilizes the weights without
-    reintroducing confounding.  Weights are not truncated by default;
-    pass truncate_percentile (between 50 and 100, e.g. 99) to clip both
-    tails at the matching percentiles.
+    reintroducing confounding.  The models are fitted on the cohort's 32
+    cell counts (_kernels.weight_cells); each subject gets its cell's
+    weight.  Weights are not truncated by default; pass
+    truncate_percentile (between 50 and 100, e.g. 99) to clip both tails
+    at the matching percentiles.
     """
-    l0, a0, l1, a1, _ = cohort_arrays(cohort)
-    for label, arm in (("time 0", a0), ("time 1", a1)):
-        if arm.min() == arm.max():
-            raise PositivityViolation(
-                f"only one treatment arm present at {label}; "
-                "both arms are required at every time point"
-            )
-    ones = np.ones(l0.shape[0])
-    d0 = fit_logistic(_design(ones, l0), a0)
-    n0 = fit_logistic(_design(ones), a0)
-    d1 = fit_logistic(_design(ones, a0, l0, l1), a1)
-    n1 = fit_logistic(_design(ones, a0), a1)
-
-    pd0 = _expit(_design(ones, l0) @ np.asarray(d0.coefficients))
-    pn0 = _expit(_design(ones) @ np.asarray(n0.coefficients))
-    pd1 = _expit(_design(ones, a0, l0, l1) @ np.asarray(d1.coefficients))
-    pn1 = _expit(_design(ones, a0) @ np.asarray(n1.coefficients))
-    pd0a = np.where(a0 == 1.0, pd0, 1.0 - pd0)
-    pn0a = np.where(a0 == 1.0, pn0, 1.0 - pn0)
-    pd1a = np.where(a1 == 1.0, pd1, 1.0 - pd1)
-    pn1a = np.where(a1 == 1.0, pn1, 1.0 - pn1)
-    floor = min(pd0a.min(), pd1a.min())
-    if floor < _kernels.POSITIVITY_FLOOR:
-        raise PositivityViolation(
-            f"fitted treatment probability {floor:.2e} below "
-            f"{_kernels.POSITIVITY_FLOOR:.0e}"
-        )
-    sw = (pn0a / pd0a) * (pn1a / pd1a)
+    cells = cohort_cells(cohort)
+    sw, status = _kernels.weight_cells(np.bincount(cells, minlength=_kernels.N_CELLS)[None, :])
+    _raise_failure(status[0])
+    sw = sw[0][cells]
     if truncate_percentile is not None:
         p = float(truncate_percentile)
         if not 50.0 < p < 100.0:
@@ -256,44 +268,67 @@ def stabilized_weights(
 def fit_msm(cohort: Sequence[CohortRecord], weights: np.ndarray) -> MsmResult:
     """Fit the weighted marginal outcome model and read off the risk ratio.
 
-    The model is logit P(Y | A0, A1) = a + b*A0 + c*A1 under the given
-    weights; always-treated and never-treated probabilities come from
-    the fitted coefficients, and rr_obs is their ratio.  A mean weight
-    outside [0.8, 1.2] triggers a diagnostic warning; a fit driven to a
-    probability boundary raises EstimationError.
+    The model is logit P(Y | A0, A1) = a + b*A0 + c*A1, fitted on the
+    total weight of each of the 32 cells (_kernels.outcome_cells);
+    always-treated and never-treated probabilities come from the fitted
+    coefficients, and rr_obs is their ratio.  A mean weight outside
+    [0.8, 1.2] triggers a diagnostic warning; a singular, separated or
+    degenerate fit raises EstimationError.
     """
-    l0, a0, l1, a1, y = cohort_arrays(cohort)
+    cells = cohort_cells(cohort)
     w = np.ascontiguousarray(weights, dtype=np.float64)
-    if w.shape != y.shape:
+    if w.shape != cells.shape:
         raise ValueError("weights length must match cohort size")
     if not np.all(w > 0.0):
         raise ValueError("stabilized weights must be positive")
-    ones = np.ones(y.shape[0])
-    fit = fit_logistic(_design(ones, a0, a1), y, w)
-    c = fit.coefficients
-    p11 = float(_expit(np.asarray(c[0] + c[1] + c[2])))
-    p00 = float(_expit(np.asarray(c[0])))
-    floor = _kernels.BOUNDARY_FLOOR
-    if min(p00, 1.0 - p00, p11, 1.0 - p11) < floor:
-        raise EstimationError(
-            "weighted outcome model collapsed to a probability boundary "
-            f"(p00={p00:.3e}, p11={p11:.3e}); the marginal risk ratio is undefined"
+    totals = np.bincount(cells, weights=w, minlength=_kernels.N_CELLS)
+    p11, p00, status = _kernels.outcome_cells(totals[None, :])
+    return _msm_result(status[0], p11[0], p00[0], w.mean(), w.max())
+
+
+def cell_msm(counts: np.ndarray, fit: tuple, r: int) -> MsmResult:
+    """MsmResult of row r of fit = _kernels.rr_cells(counts); raises the
+    row's error if its estimate failed."""
+    _, status, p11, p00, sw = fit
+    occupied = counts[r] > 0
+    w = sw[r][occupied]
+    weight_mean = np.sum(counts[r][occupied] * w) / np.sum(counts[r])
+    return _msm_result(status[r], p11[r], p00[r], weight_mean, np.max(w))
+
+
+def resample_counts(cells: np.ndarray, replicates: int, seed: int) -> np.ndarray:
+    """Cell counts (replicates, 32) of bootstrap resamples, subjects drawn
+    with replacement; replicate r draws from the stream (seed, bootstrap
+    domain, r)."""
+    reps = int(replicates)
+    if reps < 100:
+        raise ValueError(f"replicates must be >= 100, got {replicates!r}")
+    seed = _rng.check_seed(seed)
+    n = cells.shape[0]
+    counts = np.empty((reps, _kernels.N_CELLS))
+    for r in range(reps):
+        idx = _rng.stream(seed, _rng.BOOTSTRAP_DOMAIN, r).integers(0, n, size=n)
+        counts[r] = np.bincount(cells[idx], minlength=_kernels.N_CELLS)
+    return counts
+
+
+def percentile_ci(rr: np.ndarray, status: np.ndarray) -> tuple[float, float]:
+    """2.5 and 97.5 percentiles of the replicates that did not fail; more
+    than 10 percent failing raises BootstrapFailure, which counts the
+    failures by reason."""
+    kept = ~np.isin(status, tuple(_FAILURES))
+    failures = status.shape[0] - int(kept.sum())
+    if failures * 10 > status.shape[0]:
+        tally = np.bincount(status, minlength=max(_FAILURES) + 1)
+        by_reason = ", ".join(
+            f"{name} {tally[code]}" for code, (_, name, _) in _FAILURES.items() if tally[code]
         )
-    weight_mean = float(w.mean())
-    if not 0.8 <= weight_mean <= 1.2:
-        warnings.warn(
-            f"mean stabilized weight {weight_mean:.3f} outside [0.8, 1.2]; "
-            "check the treatment models",
-            WeightDiagnosticWarning,
-            stacklevel=2,
+        raise BootstrapFailure(
+            f"{failures} of {status.shape[0]} bootstrap replicates failed ({by_reason}); "
+            "the cohort is too fragile for resampling"
         )
-    return MsmResult(
-        rr_obs=p11 / p00,
-        p11=p11,
-        p00=p00,
-        weight_mean=weight_mean,
-        weight_max=float(w.max()),
-    )
+    lo, hi = np.percentile(rr[kept], [2.5, 97.5])
+    return float(lo), float(hi)
 
 
 def bootstrap_ci(
@@ -301,41 +336,9 @@ def bootstrap_ci(
     replicates: int = 1000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Percentile bootstrap interval for the marginal risk ratio.
-
-    Subjects are resampled with replacement.  Replicate r draws its
-    indices from the stream (seed, bootstrap domain, r), so the interval
-    is deterministic for fixed inputs.  The weight-and-fit pipeline
-    depends on a cohort only through its 32 binary-history cell counts,
-    so each replicate keeps just the counts of its resample and one
-    batched fit (_kernels.rr_cells) estimates every replicate at once.
-    Replicates that fail (positivity, separation, collinear or boundary
-    fits) are dropped; more than 10 percent failing raises
-    BootstrapFailure, whose message counts the failures by reason.
-    """
-    reps = int(replicates)
-    if reps < 100:
-        raise ValueError(f"replicates must be >= 100, got {replicates!r}")
-    seed = _rng.check_seed(seed)
-    cells = _kernels.cell_ids(*cohort_arrays(cohort))
-    n = cells.shape[0]
-    counts = np.empty((reps, _kernels.N_CELLS))
-    for r in range(reps):
-        idx = _rng.stream(seed, _rng.BOOTSTRAP_DOMAIN, r).integers(0, n, size=n)
-        counts[r] = np.bincount(cells[idx], minlength=_kernels.N_CELLS)
-    rr, status = _kernels.rr_cells(counts)
-    kept = (status == _kernels.REP_OK) | (status == _kernels.REP_NOT_CONVERGED)
-    failures = reps - int(kept.sum())
-    if failures * 10 > reps:
-        by_reason = ", ".join(
-            f"{_kernels.REP_NAMES[code]} {k}"
-            for code, k in enumerate(np.bincount(status, minlength=len(_kernels.REP_NAMES)))
-            if k and code not in (_kernels.REP_OK, _kernels.REP_NOT_CONVERGED)
-        )
-        raise BootstrapFailure(
-            f"{failures} of {reps} bootstrap replicates failed ({by_reason}); "
-            "the cohort is too fragile for resampling"
-        )
-    values = np.sort(rr[kept])
-    lo, hi = np.percentile(values, [2.5, 97.5])
-    return float(lo), float(hi)
+    """Percentile bootstrap interval for the marginal risk ratio: one
+    batched fit (_kernels.rr_cells) on the 32 cell counts of every
+    resample (resample_counts); failed replicates are dropped, and more
+    than 10 percent failing raises BootstrapFailure (percentile_ci)."""
+    rr, status, *_ = _kernels.rr_cells(resample_counts(cohort_cells(cohort), replicates, seed))
+    return percentile_ci(rr, status)

@@ -110,15 +110,14 @@ class EffectEstimate:
                 f"measure must be one of rr, or, hr; got {self.measure!r}"
             ) from None
         object.__setattr__(self, "measure", m)
-        if not self.value > 0:
-            raise ValueError(f"estimate must be positive, got {self.value!r}")
+        for v in (self.value, self.ci_lower, self.ci_upper):
+            if v is not None and not 0 < v < math.inf:
+                raise ValueError(f"estimate and limits must be positive and finite, got {v!r}")
         has_lo = self.ci_lower is not None
         has_hi = self.ci_upper is not None
         if has_lo != has_hi:
             raise ValueError("confidence interval needs both limits or neither")
         if has_lo:
-            if not (self.ci_lower > 0 and self.ci_upper > 0):
-                raise ValueError("confidence limits must be positive")
             if not self.ci_lower <= self.value <= self.ci_upper:
                 raise ValueError(
                     f"point estimate {self.value} outside interval "
@@ -327,8 +326,16 @@ def adjusted_rr(rr_obs: float, b_total: Union[BiasFactor, float]) -> float:
 
 def _hr_to_rr(h: float) -> float:
     # exponent form of the common-outcome hazard-ratio approximation;
-    # continuous through h = 1 and monotone increasing
-    return (1.0 - 0.5 ** math.sqrt(h)) / (1.0 - 0.5 ** math.sqrt(1.0 / h))
+    # continuous through h = 1 and monotone increasing; inf where the
+    # denominator rounds to 0 far above the null
+    den = 1.0 - 0.5 ** math.sqrt(1.0 / h)
+    return (1.0 - 0.5 ** math.sqrt(h)) / den if den > 0.0 else math.inf
+
+
+def _finite_rr(v: float) -> float:
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"estimate is {v!r} on the risk-ratio scale; it must be finite and > 0")
+    return v
 
 
 def normalize_estimate(e: EffectEstimate) -> NormalizedEstimate:
@@ -338,7 +345,8 @@ def normalize_estimate(e: EffectEstimate) -> NormalizedEstimate:
     approximations (sqrt for OR, the exponent form for HR); rare-outcome
     estimates are used directly.  A resulting value below 1 is inverted,
     and the transformed confidence limit closest to the null is kept for
-    CI E-values.
+    CI E-values.  A value or limit that is not positive and finite after
+    the transform or the inversion raises ValueError.
     """
     if e.measure is Measure.RR or e.outcome_rare:
         transform = float
@@ -347,16 +355,16 @@ def normalize_estimate(e: EffectEstimate) -> NormalizedEstimate:
     else:
         transform = _hr_to_rr
 
-    value = transform(e.value)
-    lo = transform(e.ci_lower) if e.has_ci else None
-    hi = transform(e.ci_upper) if e.has_ci else None
+    value = _finite_rr(transform(e.value))
+    lo = _finite_rr(transform(e.ci_lower)) if e.has_ci else None
+    hi = _finite_rr(transform(e.ci_upper)) if e.has_ci else None
 
     crosses = e.has_ci and lo <= 1.0 <= hi
     inverted = value < 1.0
     if inverted:
-        value = 1.0 / value
+        value = _finite_rr(1.0 / value)
         if e.has_ci:
-            lo, hi = 1.0 / hi, 1.0 / lo
+            lo, hi = _finite_rr(1.0 / hi), _finite_rr(1.0 / lo)
 
     limit = None
     if e.has_ci:

@@ -4,7 +4,8 @@ as CSV or a self-contained SVG.
 All writers are pure functions returning text, deterministic down to the
 byte for identical inputs.  JSON numbers rely on Python's shortest
 round-trip float formatting, so documents parse back to exactly the
-values that were written; two-decimal display is left to consumers.
+values that were written, and NaN or infinity is refused rather than
+written as invalid JSON; two-decimal display is left to consumers.
 """
 from __future__ import annotations
 
@@ -223,7 +224,8 @@ def write_report_json(
     Absent confidence-any keys are omitted entirely, never written as
     null, so presence encodes availability.
     """
-    return json.dumps(_report_payload(estimate, normalized, report), indent=2) + "\n"
+    doc = _report_payload(estimate, normalized, report)
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _msm_payload(msm: MsmResult) -> dict:
@@ -265,7 +267,7 @@ def write_experiment_json(record) -> str:
         "estimate": _msm_payload(record.msm),
         "report": _report_payload(record.estimate, record.normalized, record.report),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def write_analysis_json(
@@ -279,7 +281,7 @@ def write_analysis_json(
         "estimate": _msm_payload(msm),
         "report": _report_payload(estimate, normalized, report),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def write_replication_json(params, seed: int, results, enumerated: dict) -> str:
@@ -316,7 +318,7 @@ def write_replication_json(params, seed: int, results, enumerated: dict) -> str:
         "enumerated": enumerated,
         "replications_detail": reps,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _mean(values) -> Optional[float]:

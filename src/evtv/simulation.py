@@ -21,18 +21,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Literal, Optional
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
 from . import _rng
+from ._kernels import N_CELLS, rr_cells
 from .estimation import (
     CohortRecord,
     EstimationError,
     MsmResult,
     bootstrap_ci,
-    fit_msm,
-    stabilized_weights,
+    cell_msm,
+    cohort_cells,
+    percentile_ci,
+    resample_counts,
 )
 from .evalue import EffectEstimate, EValueReport, NormalizedEstimate, build_report, normalize_estimate
 
@@ -44,6 +47,7 @@ __all__ = [
     "generate_cohort",
     "true_rr_mc",
     "true_rr_enumerate",
+    "analyze_cohort",
     "run_experiment",
     "run_replications",
 ]
@@ -58,6 +62,7 @@ _TAG_U0, _TAG_L0, _TAG_A0, _TAG_U1, _TAG_L1, _TAG_A1 = range(6)
 _TAG_PO = 6  # tags 6..9 hold the four potential-outcome draws
 
 
+# not _kernels._expit: that form moves 11 of the 80 default probabilities by one bit
 def _expit(x):
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -261,6 +266,35 @@ class ExperimentRecord:
     report: EValueReport
 
 
+def analyze_cohort(
+    records: Sequence[CohortRecord],
+    bootstrap: int,
+    seed: int,
+    timepoints: int = 2,
+    curve_points: int = 0,
+) -> tuple[MsmResult, EffectEstimate, NormalizedEstimate, EValueReport]:
+    """Estimate a cohort's risk ratio and derive its E-value report.
+
+    One rr_cells call fits the cohort's cell counts (row 0) and those of
+    `bootstrap` resamples (resample_counts) under the same failure rules.
+    Returns (msm, estimate, normalized, report).
+    """
+    cells = cohort_cells(records)
+    counts = np.bincount(cells, minlength=N_CELLS)[None, :]
+    if bootstrap:
+        counts = np.vstack([counts, resample_counts(cells, bootstrap, seed)])
+    fit = rr_cells(counts)
+    msm = cell_msm(counts, fit, 0)
+    if bootstrap:
+        lo, hi = percentile_ci(fit[0][1:], fit[1][1:])
+        # a percentile interval from a finite resample can exclude the
+        # point estimate; widen to keep the report's CI well-formed
+        msm = replace(msm, ci_lower=min(lo, msm.rr_obs), ci_upper=max(hi, msm.rr_obs))
+    estimate = EffectEstimate("rr", msm.rr_obs, msm.ci_lower, msm.ci_upper)
+    normalized = normalize_estimate(estimate)
+    return msm, estimate, normalized, build_report(estimate, timepoints, curve_points)
+
+
 def run_experiment(
     params: SimulationParams,
     seed: int,
@@ -278,21 +312,7 @@ def run_experiment(
         raise ValueError("bootstrap_replicates must be >= 0")
     cohort = generate_cohort(params, seed)
     rr_true = true_rr_mc(cohort)
-    weights = stabilized_weights(cohort.records)
-    msm = fit_msm(cohort.records, weights)
-    if bootstrap_replicates:
-        lo, hi = bootstrap_ci(cohort.records, bootstrap_replicates, seed)
-        # a percentile interval from a finite resample can exclude the
-        # point estimate; widen to keep the report's CI well-formed
-        msm = replace(msm, ci_lower=min(lo, msm.rr_obs), ci_upper=max(hi, msm.rr_obs))
-    estimate = EffectEstimate(
-        measure="rr",
-        value=msm.rr_obs,
-        ci_lower=msm.ci_lower,
-        ci_upper=msm.ci_upper,
-    )
-    normalized = normalize_estimate(estimate)
-    report = build_report(estimate, timepoints=2)
+    msm, estimate, normalized, report = analyze_cohort(cohort.records, bootstrap_replicates, seed)
     return ExperimentRecord(
         params=params,
         seed=seed,
@@ -346,36 +366,38 @@ def run_replications(
         raise ValueError(
             f"bootstrap_replicates must be 0 or >= 100, got {bootstrap_replicates!r}"
         )
-    results: list[ReplicationResult] = []
-    failures = 0
-    for i in range(reps):
-        child = _rng.child_seed(seed, _rng.REPLICATION_DOMAIN, i)
+    # keep each replication's cell counts, not its cohort; one rr_cells call fits them all
+    seeds = [_rng.child_seed(seed, _rng.REPLICATION_DOMAIN, i) for i in range(reps)]
+    counts = np.empty((reps, N_CELLS))
+    drawn = []
+    for i, child in enumerate(seeds):
         cohort = generate_cohort(params, child)
-        rr_true = None
+        counts[i] = np.bincount(cohort_cells(cohort.records), minlength=N_CELLS)
+        rr_true, interval, error = None, (None, None), None
         try:
             rr_true = true_rr_mc(cohort)
-            weights = stabilized_weights(cohort.records)
-            msm = fit_msm(cohort.records, weights)
-            lo = hi = None
             if bootstrap_replicates:
-                lo, hi = bootstrap_ci(cohort.records, bootstrap_replicates, child)
-            results.append(
-                ReplicationResult(
-                    seed=child,
-                    true_rr_mc=rr_true,
-                    rr_obs=msm.rr_obs,
-                    ci_lower=lo,
-                    ci_upper=hi,
-                    weight_mean=msm.weight_mean,
-                )
-            )
+                interval = bootstrap_ci(cohort.records, bootstrap_replicates, child)
         except (EstimationError, ValueError) as exc:
-            failures += 1
-            results.append(
-                ReplicationResult(seed=child, true_rr_mc=rr_true, error=str(exc))
-            )
+            error = str(exc)
+        drawn.append((rr_true, interval, error))
+    del cohort  # keep the last cohort out of the batched fit's peak memory
+    fit = rr_cells(counts)
+    results: list[ReplicationResult] = []
+    for i, (child, (rr_true, (lo, hi), error)) in enumerate(zip(seeds, drawn)):
+        try:
+            # an undefined truth comes first, then a failed point estimate
+            msm = cell_msm(counts, fit, i) if rr_true is not None else None
+        except EstimationError as exc:
+            error = str(exc)
+        if error is not None:
+            results.append(ReplicationResult(seed=child, true_rr_mc=rr_true, error=error))
+            continue
+        results.append(ReplicationResult(
+            seed=child, true_rr_mc=rr_true, rr_obs=msm.rr_obs,
+            ci_lower=lo, ci_upper=hi, weight_mean=msm.weight_mean,
+        ))
+    failures = sum(r.error is not None for r in results)
     if failures * 10 > reps:
-        raise EstimationError(
-            f"{failures} of {reps} replications failed estimation"
-        )
+        raise EstimationError(f"{failures} of {reps} replications failed estimation")
     return results

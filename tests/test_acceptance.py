@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from evtv import cli
-from evtv.estimation import bootstrap_ci, fit_msm, stabilized_weights
 from evtv.evalue import (
     ConfounderStrength,
     EffectEstimate,
@@ -37,6 +36,7 @@ from evtv.evalue import (
 from evtv.report import read_cohort_csv, write_cohort_csv
 from evtv.simulation import (
     SimulationParams,
+    analyze_cohort,
     run_experiment,
     run_replications,
     true_rr_enumerate,
@@ -263,10 +263,8 @@ def test_criterion_8_pipeline_integrity(reference_experiment, tmp_path, capsys):
     path = tmp_path / "cohort.csv"
     path.write_text(write_cohort_csv(rec.cohort.records), encoding="utf-8")
     records = read_cohort_csv(str(path))
-    msm = fit_msm(records, stabilized_weights(records))
-    lo, hi = bootstrap_ci(records, 1000, REFERENCE_SEED)
-    ci = (min(lo, msm.rr_obs), max(hi, msm.rr_obs))
-    ok_lib = msm.rr_obs == rec.msm.rr_obs and ci == (rec.msm.ci_lower, rec.msm.ci_upper)
+    msm = analyze_cohort(records, 1000, REFERENCE_SEED)[0]
+    ok_lib = msm == rec.msm
     # command level: simulate --cohort-out, then analyze the export
     sim_json = tmp_path / "sim.json"
     cohort_csv = tmp_path / "cli_cohort.csv"

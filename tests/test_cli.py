@@ -84,6 +84,20 @@ class TestEvalueCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--measure", "rr", "--value", "inf"],
+            ["--measure", "rr", "--value", "1e-320"],  # inverts to inf
+            ["--measure", "hr", "--value", "1e300"],  # transform overflows
+        ],
+    )
+    def test_non_finite_estimate_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "evalue", *argv, "--timepoints", "2")
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
     def test_missing_required_flag_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "evalue", "--measure", "rr", "--value", "1.5")
         assert code == 2
@@ -300,6 +314,16 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, "analyze", "--input", str(path), "--bootstrap", "0")
         assert code == 3
         assert "estimation error"in err
+
+    def test_separated_point_estimate_exits_3(self, capsys, tmp_path):
+        # generate_cohort(SimulationParams(n=4), 198): the treatment fits
+        # separate, the rule that also rejects such a bootstrap replicate
+        path = tmp_path / "four.csv"
+        path.write_text("l0,a0,l1,a1,y\n1,0,1,1,1\n0,0,0,0,0\n1,1,0,1,1\n0,0,1,1,0\n")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path), "--bootstrap", "0")
+        assert code == 3
+        assert "separated" in err
+        assert out == ""
 
     def test_curve_included(self, capsys, tmp_path):
         path = self._cohort_file(capsys, tmp_path)

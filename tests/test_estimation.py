@@ -17,7 +17,7 @@ from evtv.estimation import (
     fit_msm,
     stabilized_weights,
 )
-from evtv.simulation import SimulationParams, generate_cohort
+from evtv.simulation import SimulationParams, analyze_cohort, generate_cohort
 
 
 def random_cohort(n: int, seed: int) -> list[CohortRecord]:
@@ -131,6 +131,15 @@ class TestStabilizedWeights:
         with pytest.raises(PositivityViolation):
             stabilized_weights(records)
 
+    def test_constant_outcome_still_weighted(self):
+        # the outcome plays no part in the treatment models; only the
+        # risk ratio needs both outcomes
+        records = [CohortRecord(r.l0, r.a0, r.l1, r.a1, 0) for r in random_cohort(500, 22)]
+        w = stabilized_weights(records)
+        assert w.shape == (500,) and np.all(np.isfinite(w)) and np.all(w > 0)
+        with pytest.raises(EstimationError, match="separat"):
+            analyze_cohort(records, 0, 0)
+
     def test_truncation_clips_tails(self):
         cohort = random_cohort(2000, 7)
         w = stabilized_weights(cohort)
@@ -193,9 +202,8 @@ class TestFitMsm:
             a1 = int(rng.random() < 0.5)
             records.append(CohortRecord(l0, a0, l1, a1, a1))
         w = np.ones(len(records))
-        with pytest.warns(SeparationWarning):
-            with pytest.raises(EstimationError):
-                fit_msm(records, w)
+        with pytest.raises(EstimationError, match="separat"):
+            fit_msm(records, w)
 
     def test_weight_validation(self):
         cohort = random_cohort(100, 15)

@@ -23,10 +23,14 @@ from evtv._kernels import (
     cell_ids,
     fit_batched,
     fit_logistic,
+    outcome_cells,
     rr_cells,
+    weight_cells,
 )
-from evtv.estimation import CohortRecord, cohort_arrays, fit_msm, stabilized_weights
+from evtv.estimation import CohortRecord, cohort_arrays
 from evtv.simulation import SimulationParams, generate_cohort
+
+from _per_row import per_row_rr
 
 
 def logistic_cohort(n: int, seed: int):
@@ -384,14 +388,14 @@ class TestNumpyPipeline:
     def test_status_ok_on_healthy_cohort(self):
         arrs = logistic_cohort(800, 21)
         counts = np.bincount(cell_ids(*arrs), minlength=N_CELLS)
-        rr, status = rr_cells(counts[None, :])
+        rr, status, *_ = rr_cells(counts[None, :])
         assert status[0] == REP_OK
         assert 0.0 < rr[0] < np.inf
 
     def test_missing_arm_flagged(self):
         l0, a0, l1, a1, y = logistic_cohort(300, 22)
         counts = np.bincount(cell_ids(l0, np.zeros_like(a0), l1, a1, y), minlength=N_CELLS)
-        rr, status = rr_cells(counts[None, :])
+        rr, status, *_ = rr_cells(counts[None, :])
         assert status[0] == REP_ARM_MISSING
         assert np.isnan(rr[0])
 
@@ -400,24 +404,37 @@ class TestNumpyPipeline:
         n = arrs[0].shape[0]
         idx = np.random.default_rng(9).integers(0, n, size=(50, n))
         counts = resample_counts(cell_ids(*arrs), idx)
-        rr1, st1 = rr_cells(counts)
-        rr2, st2 = rr_cells(counts)
+        rr1, st1, *_ = rr_cells(counts)
+        rr2, st2, *_ = rr_cells(counts)
         assert np.array_equal(st1, st2)
         assert np.array_equal(rr1, rr2, equal_nan=True)
         assert np.all(st1 == REP_OK)
 
     def test_bootstrap_matches_pipeline_per_replicate(self):
-        # the per-row point-estimate path on each resampled cohort is the
-        # reference; only the summation order differs
+        # the per-row pipeline on each resampled cohort is the reference;
+        # only the summation order differs
         arrs = logistic_cohort(250, 24)
         n = arrs[0].shape[0]
         idx = np.random.default_rng(10).integers(0, n, size=(5, n))
-        rr, st = rr_cells(resample_counts(cell_ids(*arrs), idx))
+        rr, st, *_ = rr_cells(resample_counts(cell_ids(*arrs), idx))
         assert np.all(st == REP_OK)
         for r in range(5):
             resample = [CohortRecord(*(int(a[k]) for a in arrs)) for k in idx[r]]
-            expected = fit_msm(resample, stabilized_weights(resample)).rr_obs
-            assert rr[r] == pytest.approx(expected, rel=1e-12)
+            assert rr[r] == pytest.approx(per_row_rr(resample)[0], rel=1e-12)
+
+    def test_stages_compose_to_rr_cells(self):
+        counts = bootstrap_counts(14, 2, 300)
+        rr, status, p11, p00, sw = rr_cells(counts)
+        sw_alone, st_weights = weight_cells(counts)
+        assert np.array_equal(sw, sw_alone, equal_nan=True)
+        live = np.flatnonzero((status == REP_OK) | (status == REP_NOT_CONVERGED))
+        assert np.all((st_weights[live] == REP_OK) | (st_weights[live] == REP_NOT_CONVERGED))
+        with np.errstate(invalid="ignore"):  # 0 * inf in empty cells
+            wm = np.where(counts[live] > 0, counts[live] * sw[live], 0.0)
+        q11, q00, _ = outcome_cells(wm)
+        assert np.array_equal(q11, p11[live]) and np.array_equal(q00, p00[live])
+        assert np.array_equal(rr[live], p11[live] / p00[live])
+        assert np.all(np.isnan(p11[~np.isin(np.arange(len(rr)), live)]))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -434,7 +451,7 @@ class TestFrozenPipelineOracle:
     def test_matches_per_row_pipeline(self, case):
         n, seed = case
         expected = ORACLE_STATUS[case]
-        rr, status = rr_cells(bootstrap_counts(n, seed, len(expected)))
+        rr, status, *_ = rr_cells(bootstrap_counts(n, seed, len(expected)))
         assert "".join(str(s) for s in status) == expected
         kept = (status == REP_OK) | (status == REP_NOT_CONVERGED)
         assert np.all(np.isfinite(rr[kept])) and np.all(np.isnan(rr[~kept]))
@@ -448,7 +465,7 @@ class TestFrozenPipelineOracle:
         # inf; weighting it by its count (0 * inf = NaN) would poison the
         # outcome fit and report rr = 1 as merely not converged
         counts = bootstrap_counts(12, 1, 49)[48:]
-        rr, status = rr_cells(counts)
+        rr, status, *_ = rr_cells(counts)
         assert status[0] == REP_SEPARATED
         assert np.isnan(rr[0])
 
@@ -460,9 +477,9 @@ _cell_count = st.one_of(st.just(0), st.just(0), st.integers(0, 6))
 @settings(max_examples=60, deadline=None)
 @given(arrays(np.int64, st.tuples(st.integers(1, 12), st.just(N_CELLS)), elements=_cell_count))
 def test_replicate_result_does_not_depend_on_batch(counts):
-    rr, status = rr_cells(counts)
+    rr, status, *_ = rr_cells(counts)
     for r in range(counts.shape[0]):
-        rr_alone, st_alone = rr_cells(counts[r : r + 1])
+        rr_alone, st_alone, *_ = rr_cells(counts[r : r + 1])
         assert st_alone[0] == status[r]
         if np.isnan(rr[r]):
             assert np.isnan(rr_alone[0])

@@ -4,17 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from evtv import _rng
 from evtv.estimation import EstimationError
 from evtv.simulation import (
     REGIMES,
     GeneratedCohort,
     SimulationParams,
+    analyze_cohort,
     generate_cohort,
     run_experiment,
     run_replications,
     true_rr_enumerate,
     true_rr_mc,
 )
+
+from _per_row import per_row_rr
 
 # exact enumeration values for the default coefficients, computed with an
 # independent script over all 64 binary histories and frozen here
@@ -164,6 +168,17 @@ class TestTrueRrEnumerate:
             true_rr_enumerate(SimulationParams(), "counterfactual")
 
 
+class TestAnalyzeCohort:
+    @pytest.mark.parametrize("n", [60, 1000, 100_000])
+    def test_point_estimate_matches_per_row_reference(self, n):
+        records = generate_cohort(SimulationParams(n=n), 7).records
+        msm = analyze_cohort(records, 0, 0)[0]
+        rr, p11, p00 = per_row_rr(records)
+        assert msm.rr_obs == pytest.approx(rr, rel=1e-12)
+        assert msm.p11 == pytest.approx(p11, rel=1e-12)
+        assert msm.p00 == pytest.approx(p00, rel=1e-12)
+
+
 class TestRunExperiment:
     def test_record_is_internally_consistent(self):
         rec = run_experiment(SimulationParams(n=500), 3, bootstrap_replicates=0)
@@ -203,6 +218,15 @@ class TestRunReplications:
         assert len({r.seed for r in a}) == 5
         assert [r.rr_obs for r in a] == [r.rr_obs for r in b]
         assert all(r.error is None for r in a)
+
+    def test_batch_matches_single_cohort_analysis(self):
+        p = SimulationParams(n=1000)
+        results = run_replications(p, 7, 20)
+        for i, r in enumerate(results):
+            assert r.seed == _rng.child_seed(7, _rng.REPLICATION_DOMAIN, i)
+            msm = analyze_cohort(generate_cohort(p, r.seed).records, 0, 0)[0]
+            assert r.rr_obs == msm.rr_obs
+            assert r.weight_mean == msm.weight_mean
 
     def test_master_seed_shifts_every_child(self):
         p = SimulationParams(n=200)
