@@ -1,20 +1,17 @@
 """Numerical kernels behind the estimation engine.
 
-Two plain-numpy engines share one Newton step rule (the `_chol_solve`
-pivot test, FIT_TOL, FIT_MAX_ITER and the log-likelihood acceptance
-test):
-
-- `fit_logistic` fits one model on per-row data (`estimation.fit_logistic`).
-- `fit_batched` fits one design under R weight vectors at once, with
-  per-replicate masks for convergence, step-halving and status.
+`fit_batched` is the package's one logistic fitting engine: damped
+Newton on one design under R weight vectors at once, with per-replicate
+masks for convergence, step-halving and status.  `estimation.fit_logistic`
+runs it on a single weight row.
 
 Every subject of the two-timepoint design is one of 2**5 = 32 binary
 histories (l0, a0, l1, a1, y), so all five models of the weight-and-fit
 pipeline depend on a cohort only through its 32 cell counts.
 `rr_cells` runs that pipeline on an (R, 32) array of counts, one cohort
 or bootstrap replicate per row, in two stages (`weight_cells`,
-`outcome_cells`) of one `fit_batched` call per model.  Each row's
-result depends only on that row.
+`outcome_cells`) of one `fit_batched` call per model, over blocks of
+BLOCK_ROWS rows.  Each row's result depends only on that row.
 """
 from __future__ import annotations
 
@@ -65,40 +62,12 @@ def cell_ids(l0, a0, l1, a1, y) -> np.ndarray:
     return out
 
 
-def _chol_solve(h, g):
-    # symmetric positive-definite solve with an explicit rank flag
-    d = h.shape[0]
-    low = np.zeros((d, d))
-    for j in range(d):
-        s = h[j, j]
-        for k in range(j):
-            s -= low[j, k] * low[j, k]
-        if s <= 1e-10 * (1.0 + abs(h[j, j])):
-            return np.zeros(d), False
-        low[j, j] = np.sqrt(s)
-        for i in range(j + 1, d):
-            t = h[i, j]
-            for k in range(j):
-                t -= low[i, k] * low[j, k]
-            low[i, j] = t / low[j, j]
-    x = np.zeros(d)
-    for i in range(d):
-        t = g[i]
-        for k in range(i):
-            t -= low[i, k] * x[k]
-        x[i] = t / low[i, i]
-    for i in range(d - 1, -1, -1):
-        t = x[i]
-        for k in range(i + 1, d):
-            t -= low[k, i] * x[k]
-        x[i] = t / low[i, i]
-    return x, True
-
-
 def _chol_solve_batched(h, g):
-    # _chol_solve on a stack: h (R, d, d), g (R, d); same operations in
-    # the same order for every replicate, so each row matches the scalar
-    # solver bit for bit.  Returns (x, ok) with x zero where not ok.
+    # symmetric positive-definite solves of a stack, h (R, d, d), g (R, d),
+    # with an explicit rank flag: a pivot at or below 1e-10 * (1 + |h_jj|)
+    # marks the row singular.  Every row runs the same operations in the
+    # same order, so a row's result does not depend on the rest of the
+    # stack.  Returns (x, ok) with x zero where not ok.
     reps, d = g.shape
     low = np.zeros((reps, d, d))
     ok = np.ones(reps, dtype=bool)
@@ -128,8 +97,15 @@ def _chol_solve_batched(h, g):
     return x, ok
 
 
+def expit(x):
+    """Plain logistic function 1 / (1 + exp(-x)); the cohort generator's
+    draws and the fitted probabilities depend on its exact bits."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def _expit(eta):
-    # two-branch expit: exp of a nonpositive argument cannot overflow
+    # the Newton iterations' expit: exp of a nonpositive argument cannot
+    # overflow, so no overflow RuntimeWarning reaches the CLI's stderr
     e = np.exp(-np.abs(eta))
     return np.where(eta >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
@@ -139,45 +115,6 @@ def _loglik(w, y, eta):
     t = np.log1p(np.exp(-np.abs(eta)))
     t += np.maximum(eta, 0.0)
     return np.sum(w * (y * eta - t), axis=-1)
-
-
-def fit_logistic(x, y, w, tol, max_iter):
-    """Damped Newton on the weighted Bernoulli log-likelihood of one model.
-
-    Step-halving keeps the likelihood from decreasing.  Returns
-    (beta, iterations, max |gradient|, FIT_* status).
-    """
-    n, d = x.shape
-    beta = np.zeros(d)
-    eta = np.zeros(n)
-    ll = _loglik(w, y, eta)
-    for it in range(max_iter):
-        mu = _expit(eta)
-        grad = x.T @ (w * (y - mu))
-        gmax = np.max(np.abs(grad))
-        if gmax < tol:
-            return beta, it, gmax, FIT_CONVERGED
-        curv = w * mu * (1.0 - mu)
-        hess = (x * curv.reshape(-1, 1)).T @ x
-        step, ok = _chol_solve(hess, grad)
-        if not ok:
-            return beta, it, gmax, FIT_SINGULAR
-        scale = 1.0
-        for _ in range(30):
-            cand = beta + scale * step
-            cand_eta = x @ cand
-            cand_ll = _loglik(w, y, cand_eta)
-            if cand_ll >= ll - 1e-12 * (1.0 + abs(ll)):
-                break
-            scale *= 0.5
-        else:
-            return beta, it, gmax, FIT_MAXITER
-        beta = cand
-        eta = cand_eta
-        ll = cand_ll
-    gmax = np.max(np.abs(x.T @ (w * (y - _expit(eta)))))
-    status = FIT_CONVERGED if gmax < tol else FIT_MAXITER
-    return beta, max_iter, gmax, status
 
 
 def _linear(beta, x):
@@ -199,9 +136,11 @@ def fit_batched(x, y, w, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
 
     x is the (m, d) design and y the (m,) binary response shared by all
     replicates; w is (R, m), one row of nonnegative weights per
-    replicate.  Each row follows fit_logistic's damped Newton rule with
-    its own convergence test, step-halving (up to 30 halvings) and
-    status; a replicate leaves the batch as soon as it stops.  Returns
+    replicate.  Each row runs damped Newton on its weighted Bernoulli
+    log-likelihood with its own convergence test (max |gradient| below
+    tol), step-halving that keeps the likelihood from decreasing (up to
+    30 halvings) and status; a replicate leaves the batch as soon as it
+    stops.  Returns
     (beta (R, d), iterations (R,), max |gradient| (R,), status (R,)).
     """
     x = np.asarray(x, dtype=np.float64)
@@ -278,7 +217,7 @@ def fit_batched(x, y, w, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
 
 def _prob(beta, x, arm):
     # fitted probability of the treatment each cell received
-    p = 1.0 / (1.0 + np.exp(-_linear(beta, x)))
+    p = expit(_linear(beta, x))
     return np.where(arm == 1.0, p, 1.0 - p)
 
 
@@ -314,26 +253,40 @@ def weight_cells(counts):
     return sw, status
 
 
+def _constant_outcome(w):
+    # rows of nonnegative cell weights or counts (R, 32) that put no
+    # weight on one of the two outcomes
+    return ~np.any(w[:, _Y == 1.0] > 0.0, axis=1) | ~np.any(w[:, _Y == 0.0] > 0.0, axis=1)
+
+
 def outcome_cells(weights):
     """Fit logit P(Y | A0, A1) = a + b*A0 + c*A1 on the total weight of
     each cell, weights (R, 32); return the always- and never-treated
     probabilities p11, p00 (NaN in a failed row) and status (R,).  First
-    match wins: a singular fit, a coefficient beyond SEPARATION_BOUND, a
-    probability within BOUNDARY_FLOOR of 0 or 1 (degenerate), a fit
-    stopped before convergence (REP_NOT_CONVERGED, usable)."""
+    match wins: a constant outcome (separated), a singular fit, a
+    coefficient beyond SEPARATION_BOUND, a probability within
+    BOUNDARY_FLOOR of 0 or 1 (degenerate), a fit stopped before
+    convergence (REP_NOT_CONVERGED, usable)."""
     bm, _, _, st = fit_batched(_X_M, _Y, weights)
     with np.errstate(over="ignore"):
-        p11 = 1.0 / (1.0 + np.exp(-(bm[:, 0] + bm[:, 1] + bm[:, 2])))
-        p00 = 1.0 / (1.0 + np.exp(-bm[:, 0]))
+        p11 = expit(bm[:, 0] + bm[:, 1] + bm[:, 2])
+        p00 = expit(bm[:, 0])
     # statuses are written lowest priority first, so the first check listed above wins
     status = np.where(st == FIT_MAXITER, REP_NOT_CONVERGED, REP_OK)
     lo, hi = np.minimum(p00, p11), np.maximum(p00, p11)
     status[(lo < BOUNDARY_FLOOR) | (hi > 1.0 - BOUNDARY_FLOOR)] = REP_DEGENERATE
     status[np.max(np.abs(bm), axis=1) > SEPARATION_BOUND] = REP_SEPARATED
     status[st == FIT_SINGULAR] = REP_SINGULAR
+    status[_constant_outcome(np.asarray(weights))] = REP_SEPARATED
     p11[status > REP_NOT_CONVERGED] = np.nan
     p00[status > REP_NOT_CONVERGED] = np.nan
     return p11, p00, status
+
+
+# rows fitted per weight_cells/outcome_cells call; caps rr_cells' working
+# memory, and 1024 keeps a 1000-replicate bootstrap plus its point
+# estimate in one block
+BLOCK_ROWS = 1024
 
 
 def rr_cells(counts):
@@ -341,16 +294,28 @@ def rr_cells(counts):
 
     counts is (R, 32): row r holds how many subjects of replicate r fall
     in each cell (see cell_ids).  Runs weight_cells, then outcome_cells
-    on the weighted counts; returns (rr, status, p11, p00, sw) with rr,
-    p11, p00 NaN in failed rows.  A constant outcome fails as separated,
-    checked after the treatment arms and before the treatment fits.
+    on the weighted counts, BLOCK_ROWS rows at a time; returns
+    (rr, status, p11, p00, sw) with rr, p11, p00 NaN in failed rows.  A
+    constant outcome fails as separated, checked after the treatment arms
+    and before the treatment fits.
     """
-    c = np.asarray(counts, dtype=np.float64)
+    c = np.asarray(counts)
     if c.ndim != 2 or c.shape[1] != N_CELLS:
         raise ValueError(f"counts must have shape (R, {N_CELLS}), got {c.shape}")
+    reps = c.shape[0]
+    out = (np.empty(reps), np.empty(reps, dtype=np.int64), np.empty(reps), np.empty(reps),
+           np.empty((reps, N_CELLS)))
+    for start in range(0, reps, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        for o, v in zip(out, _rr_block(np.asarray(c[rows], dtype=np.float64))):
+            o[rows] = v
+    return out
+
+
+def _rr_block(c):
+    # rr_cells on one block of float counts
     sw, status = weight_cells(c)
-    sy = c[:, _Y == 1.0].sum(axis=1)
-    status[(status != REP_ARM_MISSING) & ((sy == 0.0) | (sy == c.sum(axis=1)))] = REP_SEPARATED
+    status[(status != REP_ARM_MISSING) & _constant_outcome(c)] = REP_SEPARATED
     live = np.flatnonzero(status <= REP_NOT_CONVERGED)
     # an empty cell may have a fitted probability of exactly 0 or 1 and
     # so sw = inf; it must carry weight 0, not 0 * inf = NaN

@@ -22,8 +22,6 @@ from .estimation import EstimationError
 from .evalue import (
     EffectEstimate,
     build_report,
-    equal_split_evalue,
-    evalue_from_rr,
     normalize_estimate,
     tradeoff_curve,
 )
@@ -126,19 +124,16 @@ def _curve_points(args) -> int:
 
 
 def _cmd_evalue(args) -> str:
-    estimate = _estimate_from_args(args)
-    curve_points = _curve_points(args)
-    normalized = normalize_estimate(estimate)
-    rep = build_report(estimate, args.timepoints, curve_points)
+    rep = build_report(_estimate_from_args(args), args.timepoints, _curve_points(args))
     if args.human:
-        return _human_summary(normalized, rep)
-    return report.write_report_json(estimate, normalized, rep)
+        return _human_summary(rep)
+    return report.write_report_json(rep)
 
 
-def _human_summary(normalized, rep) -> str:
+def _human_summary(rep) -> str:
     lines = [
-        f"Normalized risk ratio: {normalized.rr:.2f}"
-        + (" (inverted preventive estimate)" if normalized.inverted else ""),
+        f"Normalized risk ratio: {rep.normalized.rr:.2f}"
+        + (" (inverted preventive estimate)" if rep.normalized.inverted else ""),
         f"E-value, equal strength at each of {rep.timepoints} time point(s): "
         f"{rep.evalue_equal_split:.2f}",
         f"E-value, single worst time point: {rep.evalue_single_timepoint:.2f}",
@@ -219,10 +214,10 @@ def _cmd_simulate(args) -> str:
 def _cmd_analyze(args) -> str:
     records = report.read_cohort_csv(args.input)
     seed = _resolve_seed(args)
-    msm, estimate, normalized, rep = simulation.analyze_cohort(
+    msm, rep = simulation.analyze_cohort(
         records, args.bootstrap, seed, args.timepoints, _curve_points(args)
     )
-    return report.write_analysis_json(msm, estimate, normalized, rep)
+    return report.write_analysis_json(msm, rep)
 
 
 def _write_text(path: Optional[str], text: str) -> None:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels, _rng
-from ._kernels import FIT_MAX_ITER, FIT_TOL, SEPARATION_BOUND
+from ._kernels import FIT_TOL, SEPARATION_BOUND
 
 __all__ = [
     "CohortRecord",
@@ -142,7 +142,8 @@ def fit_logistic(
     response: np.ndarray,
     weights: Optional[np.ndarray] = None,
 ) -> FittedLogistic:
-    """Fit a weighted logistic regression by damped Newton iteration.
+    """Fit a weighted logistic regression by damped Newton iteration
+    (_kernels.fit_batched on one weight row).
 
     Convergence means every component of the weighted score drops below
     1e-8 within 100 iterations; otherwise the best iterate is returned
@@ -175,7 +176,7 @@ def fit_logistic(
             SeparationWarning,
             stacklevel=2,
         )
-    beta, iterations, gmax, status = _kernels.fit_logistic(x, y, w, FIT_TOL, FIT_MAX_ITER)
+    beta, iterations, gmax, status = (v[0] for v in _kernels.fit_batched(x, y, w[None, :]))
     if status == _kernels.FIT_SINGULAR:
         raise SingularDesign("design matrix is collinear on the observed data")
     if not constant_response and np.max(np.abs(beta)) > SEPARATION_BOUND:

@@ -176,8 +176,11 @@ class TradeoffPoint:
 
 @dataclass(frozen=True)
 class EValueReport:
-    """E-values for every reporting scenario at a given number of time points."""
+    """E-values for every reporting scenario at a given number of time
+    points, with the estimate they were built from and its normalized form."""
 
+    estimate: EffectEstimate
+    normalized: NormalizedEstimate
     timepoints: int
     evalue_equal_split: float
     evalue_single_timepoint: float
@@ -233,18 +236,31 @@ def bias_factor(s: ConfounderStrength) -> BiasFactor:
     Equals (rr_eu * rr_uy) / (rr_eu + rr_uy - 1), which lies between 1
     and the weaker of the two associations.
     """
-    value = (s.rr_eu * s.rr_uy) / (s.rr_eu + s.rr_uy - 1.0)
-    return BiasFactor(max(value, 1.0))
+    return BiasFactor(max(_bias(s.rr_eu, s.rr_uy), 1.0))
+
+
+def _bias(rr_eu: float, rr_uy: float) -> float:
+    # bias_factor's formula on plain floats, for tradeoff_curve's grid
+    value = (rr_eu * rr_uy) / (rr_eu + rr_uy - 1.0)
+    if value == math.inf:
+        # the product overflowed (strengths above ~1.3e154); dividing first cannot
+        value = rr_eu * (rr_uy / (rr_eu + rr_uy - 1.0))
+    return value
 
 
 def evalue_from_rr(rr: float) -> float:
     """E-value of a risk ratio: rr + sqrt(rr * (rr - 1)).
 
     The smallest strength E such that equal associations (E, E) produce
-    a bias factor of exactly rr.  Equals 1 iff rr = 1.
+    a bias factor of exactly rr.  Equals 1 iff rr = 1.  A risk ratio
+    whose E-value overflows a float (above about 1.3e154) raises
+    ValueError.
     """
     rr = _checked_rr(rr)
-    return rr + math.sqrt(rr * (rr - 1.0))
+    e = rr + math.sqrt(rr * (rr - 1.0))
+    if not math.isfinite(e):
+        raise ValueError(f"risk ratio {rr!r} is too large: its E-value overflows a float")
+    return e
 
 
 def equal_split_evalue(rr: float, timepoints: int) -> float:
@@ -298,7 +314,7 @@ def tradeoff_curve(rr_target: float, n_points: int = 200) -> list[TradeoffPoint]
     step = (e_single - 1.0) / (n - 1)
     for i in range(1, n - 1):
         s0 = 1.0 + i * step
-        b0 = (s0 * s0) / (2.0 * s0 - 1.0)
+        b0 = _bias(s0, s0)
         b1 = rr_target / b0
         points.append(TradeoffPoint(s0, evalue_from_rr(b1), b0, b1))
     points.append(TradeoffPoint(e_single, 1.0, rr_target, 1.0))
@@ -416,6 +432,8 @@ def build_report(
     if t == 2 and curve_points >= 2:
         curve = tuple(tradeoff_curve(n.rr, curve_points))
     return EValueReport(
+        estimate=e,
+        normalized=n,
         timepoints=t,
         evalue_equal_split=equal,
         evalue_single_timepoint=single,

@@ -19,9 +19,7 @@ from typing import IO, Iterable, Literal, Optional, Sequence, Union
 from . import __version__
 from .estimation import CohortRecord, MsmResult
 from .evalue import (
-    EffectEstimate,
     EValueReport,
-    NormalizedEstimate,
     TradeoffPoint,
     equal_split_evalue,
     evalue_from_rr,
@@ -177,11 +175,8 @@ def write_cohort_csv(records: Sequence[CohortRecord]) -> str:
     return out.getvalue()
 
 
-def _report_payload(
-    estimate: EffectEstimate,
-    normalized: NormalizedEstimate,
-    report: EValueReport,
-) -> dict:
+def _report_payload(report: EValueReport) -> dict:
+    estimate, normalized = report.estimate, report.normalized
     inp: dict = {"measure": estimate.measure.value, "value": estimate.value}
     if estimate.has_ci:
         inp["ci_lower"] = estimate.ci_lower
@@ -214,17 +209,13 @@ def _point_payload(p: TradeoffPoint) -> dict:
     }
 
 
-def write_report_json(
-    estimate: EffectEstimate,
-    normalized: NormalizedEstimate,
-    report: EValueReport,
-) -> str:
+def write_report_json(report: EValueReport) -> str:
     """Emit the E-value report as stable-key-order JSON.
 
     Absent confidence-any keys are omitted entirely, never written as
     null, so presence encodes availability.
     """
-    doc = _report_payload(estimate, normalized, report)
+    doc = _report_payload(report)
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
@@ -265,21 +256,16 @@ def write_experiment_json(record) -> str:
         "true_rr_enumerated": record.true_rr_enumerated,
         "true_rr_enumerated_observed_l1": record.true_rr_enumerated_observed_l1,
         "estimate": _msm_payload(record.msm),
-        "report": _report_payload(record.estimate, record.normalized, record.report),
+        "report": _report_payload(record.report),
     }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def write_analysis_json(
-    msm: MsmResult,
-    estimate: EffectEstimate,
-    normalized: NormalizedEstimate,
-    report: EValueReport,
-) -> str:
+def write_analysis_json(msm: MsmResult, report: EValueReport) -> str:
     """Serialize an observed-data analysis: the MSM fit plus its E-value report."""
     doc = {
         "estimate": _msm_payload(msm),
-        "report": _report_payload(estimate, normalized, report),
+        "report": _report_payload(report),
     }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 

@@ -26,7 +26,7 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 
 from . import _rng
-from ._kernels import N_CELLS, rr_cells
+from ._kernels import N_CELLS, expit, rr_cells
 from .estimation import (
     CohortRecord,
     EstimationError,
@@ -37,7 +37,7 @@ from .estimation import (
     percentile_ci,
     resample_counts,
 )
-from .evalue import EffectEstimate, EValueReport, NormalizedEstimate, build_report, normalize_estimate
+from .evalue import EffectEstimate, EValueReport, build_report
 
 __all__ = [
     "SimulationParams",
@@ -60,11 +60,6 @@ L1Source = Literal["intervened", "observed"]
 # stream tags within the cohort domain, one per simulated variable
 _TAG_U0, _TAG_L0, _TAG_A0, _TAG_U1, _TAG_L1, _TAG_A1 = range(6)
 _TAG_PO = 6  # tags 6..9 hold the four potential-outcome draws
-
-
-# not _kernels._expit: that form moves 11 of the 80 default probabilities by one bit
-def _expit(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -170,16 +165,16 @@ def generate_cohort(params: SimulationParams, seed: int) -> GeneratedCohort:
     u0 = (draws(_TAG_U0) < params.p_u0).astype(np.int64)
     l0 = (draws(_TAG_L0) < params.p_l0).astype(np.int64)
     c = params.a0_model
-    a0 = (draws(_TAG_A0) < _expit(c[0] + c[1] * l0 + c[2] * u0)).astype(np.int64)
+    a0 = (draws(_TAG_A0) < expit(c[0] + c[1] * l0 + c[2] * u0)).astype(np.int64)
     u1 = (draws(_TAG_U1) < params.p_u1).astype(np.int64)
     c = params.l1_model
-    l1 = (draws(_TAG_L1) < _expit(c[0] + c[1] * a0 + c[2] * l0)).astype(np.int64)
+    l1 = (draws(_TAG_L1) < expit(c[0] + c[1] * a0 + c[2] * l0)).astype(np.int64)
     c = params.a1_model
-    a1 = (draws(_TAG_A1) < _expit(c[0] + c[1] * a0 + c[2] * l1 + c[3] * u1)).astype(np.int64)
+    a1 = (draws(_TAG_A1) < expit(c[0] + c[1] * a0 + c[2] * l1 + c[3] * u1)).astype(np.int64)
 
     po = np.empty((n, 4), dtype=np.int64)
     for j, (ra0, ra1) in enumerate(REGIMES):
-        p = _expit(params.outcome_logit(ra0, ra1, l0, l1, u0, u1))
+        p = expit(params.outcome_logit(ra0, ra1, l0, l1, u0, u1))
         po[:, j] = draws(_TAG_PO + j) < p
     y = po[np.arange(n), 2 * a0 + a1]
 
@@ -242,12 +237,19 @@ def true_rr_enumerate(
     estimator is consistent for.  l1_source "observed" instead keeps the
     observational L1 distribution, matching true_rr_mc; the two differ
     whenever treatment affects L1, and their gap is a useful diagnostic.
+    A model logit beyond about -709, where math.exp overflows, raises
+    ValueError.
     """
     if l1_source not in ("intervened", "observed"):
         raise ValueError(
             f"l1_source must be 'intervened' or 'observed', got {l1_source!r}"
         )
-    return _regime_mean(params, 1, 1, l1_source) / _regime_mean(params, 0, 0, l1_source)
+    try:
+        return _regime_mean(params, 1, 1, l1_source) / _regime_mean(params, 0, 0, l1_source)
+    except OverflowError:
+        raise ValueError(
+            "a model coefficient is too large to enumerate the true risk ratio"
+        ) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,8 +263,6 @@ class ExperimentRecord:
     true_rr_enumerated: float
     true_rr_enumerated_observed_l1: float
     msm: MsmResult
-    estimate: EffectEstimate
-    normalized: NormalizedEstimate
     report: EValueReport
 
 
@@ -272,12 +272,12 @@ def analyze_cohort(
     seed: int,
     timepoints: int = 2,
     curve_points: int = 0,
-) -> tuple[MsmResult, EffectEstimate, NormalizedEstimate, EValueReport]:
+) -> tuple[MsmResult, EValueReport]:
     """Estimate a cohort's risk ratio and derive its E-value report.
 
     One rr_cells call fits the cohort's cell counts (row 0) and those of
     `bootstrap` resamples (resample_counts) under the same failure rules.
-    Returns (msm, estimate, normalized, report).
+    Returns (msm, report).
     """
     cells = cohort_cells(records)
     counts = np.bincount(cells, minlength=N_CELLS)[None, :]
@@ -291,8 +291,7 @@ def analyze_cohort(
         # point estimate; widen to keep the report's CI well-formed
         msm = replace(msm, ci_lower=min(lo, msm.rr_obs), ci_upper=max(hi, msm.rr_obs))
     estimate = EffectEstimate("rr", msm.rr_obs, msm.ci_lower, msm.ci_upper)
-    normalized = normalize_estimate(estimate)
-    return msm, estimate, normalized, build_report(estimate, timepoints, curve_points)
+    return msm, build_report(estimate, timepoints, curve_points)
 
 
 def run_experiment(
@@ -312,7 +311,7 @@ def run_experiment(
         raise ValueError("bootstrap_replicates must be >= 0")
     cohort = generate_cohort(params, seed)
     rr_true = true_rr_mc(cohort)
-    msm, estimate, normalized, report = analyze_cohort(cohort.records, bootstrap_replicates, seed)
+    msm, report = analyze_cohort(cohort.records, bootstrap_replicates, seed)
     return ExperimentRecord(
         params=params,
         seed=seed,
@@ -321,8 +320,6 @@ def run_experiment(
         true_rr_enumerated=true_rr_enumerate(params),
         true_rr_enumerated_observed_l1=true_rr_enumerate(params, "observed"),
         msm=msm,
-        estimate=estimate,
-        normalized=normalized,
         report=report,
     )
 

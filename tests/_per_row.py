@@ -1,24 +1,109 @@
-"""Per-row reference for the cell-count estimator.
+"""Per-row reference for the batched fitting engine.
 
-The weight-and-fit pipeline written on one array element per subject,
-as the package computed it before every estimate moved to the 32 cell
+`fit_logistic` is damped Newton on one model with the scalar Cholesky
+solver `_chol_solve`, the loop the package ran per fit before every fit
+moved to `_kernels.fit_batched`.  `per_row_weights` and `per_row_rr` are
+the weight-and-fit pipeline written on one array element per subject, as
+the package computed it before every estimate moved to the 32 cell
 counts: four treatment fits and the weighted outcome fit, each run by
-the public fit_logistic on n rows.  Tests compare the cell-count engine
-against it; only the summation order differs, so the two agree to
-floating-point roundoff.
+this reference fit on n rows.  Tests compare the engine against them;
+only the summation order differs, so the two agree to floating-point
+roundoff.
 """
 import numpy as np
 
-from evtv._kernels import POSITIVITY_FLOOR
-from evtv.estimation import PositivityViolation, cohort_arrays, fit_logistic
+from evtv._kernels import (
+    FIT_CONVERGED,
+    FIT_MAX_ITER,
+    FIT_MAXITER,
+    FIT_SINGULAR,
+    FIT_TOL,
+    POSITIVITY_FLOOR,
+    _expit,
+    _loglik,
+)
+from evtv.estimation import PositivityViolation, SingularDesign, cohort_arrays
 
 
-def _expit(x):
+def _chol_solve(h, g):
+    # symmetric positive-definite solve with an explicit rank flag
+    d = h.shape[0]
+    low = np.zeros((d, d))
+    for j in range(d):
+        s = h[j, j]
+        for k in range(j):
+            s -= low[j, k] * low[j, k]
+        if s <= 1e-10 * (1.0 + abs(h[j, j])):
+            return np.zeros(d), False
+        low[j, j] = np.sqrt(s)
+        for i in range(j + 1, d):
+            t = h[i, j]
+            for k in range(j):
+                t -= low[i, k] * low[j, k]
+            low[i, j] = t / low[j, j]
+    x = np.zeros(d)
+    for i in range(d):
+        t = g[i]
+        for k in range(i):
+            t -= low[i, k] * x[k]
+        x[i] = t / low[i, i]
+    for i in range(d - 1, -1, -1):
+        t = x[i]
+        for k in range(i + 1, d):
+            t -= low[k, i] * x[k]
+        x[i] = t / low[i, i]
+    return x, True
+
+
+def fit_logistic(x, y, w, tol, max_iter):
+    """Damped Newton on the weighted Bernoulli log-likelihood of one model.
+
+    Step-halving keeps the likelihood from decreasing.  Returns
+    (beta, iterations, max |gradient|, FIT_* status).
+    """
+    n, d = x.shape
+    beta = np.zeros(d)
+    eta = np.zeros(n)
+    ll = _loglik(w, y, eta)
+    for it in range(max_iter):
+        mu = _expit(eta)
+        grad = x.T @ (w * (y - mu))
+        gmax = np.max(np.abs(grad))
+        if gmax < tol:
+            return beta, it, gmax, FIT_CONVERGED
+        curv = w * mu * (1.0 - mu)
+        hess = (x * curv.reshape(-1, 1)).T @ x
+        step, ok = _chol_solve(hess, grad)
+        if not ok:
+            return beta, it, gmax, FIT_SINGULAR
+        scale = 1.0
+        for _ in range(30):
+            cand = beta + scale * step
+            cand_eta = x @ cand
+            cand_ll = _loglik(w, y, cand_eta)
+            if cand_ll >= ll - 1e-12 * (1.0 + abs(ll)):
+                break
+            scale *= 0.5
+        else:
+            return beta, it, gmax, FIT_MAXITER
+        beta = cand
+        eta = cand_eta
+        ll = cand_ll
+    gmax = np.max(np.abs(x.T @ (w * (y - _expit(eta)))))
+    status = FIT_CONVERGED if gmax < tol else FIT_MAXITER
+    return beta, max_iter, gmax, status
+
+
+def _plain_expit(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _design(*columns):
-    return np.column_stack(columns)
+def _coefficients(x, y, w=None):
+    w = np.ones(y.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
+    beta, _, _, status = fit_logistic(x, y, w, FIT_TOL, FIT_MAX_ITER)
+    if status == FIT_SINGULAR:
+        raise SingularDesign("design matrix is collinear on the observed data")
+    return beta
 
 
 def per_row_weights(cohort):
@@ -30,12 +115,12 @@ def per_row_weights(cohort):
     ones = np.ones(l0.shape[0])
     probs = []
     for x, arm in (
-        (_design(ones, l0), a0),
-        (_design(ones), a0),
-        (_design(ones, a0, l0, l1), a1),
-        (_design(ones, a0), a1),
+        (np.column_stack([ones, l0]), a0),
+        (ones[:, None], a0),
+        (np.column_stack([ones, a0, l0, l1]), a1),
+        (np.column_stack([ones, a0]), a1),
     ):
-        p = _expit(x @ np.asarray(fit_logistic(x, arm).coefficients))
+        p = _plain_expit(x @ _coefficients(x, arm))
         probs.append(np.where(arm == 1.0, p, 1.0 - p))
     pd0a, pn0a, pd1a, pn1a = probs
     if min(pd0a.min(), pd1a.min()) < POSITIVITY_FLOOR:
@@ -47,7 +132,7 @@ def per_row_rr(cohort, weights=None):
     """(rr_obs, p11, p00) of the weighted outcome model fitted on n rows."""
     _, a0, _, a1, y = cohort_arrays(cohort)
     w = per_row_weights(cohort) if weights is None else weights
-    c = fit_logistic(_design(np.ones(y.shape[0]), a0, a1), y, w).coefficients
-    p11 = float(_expit(np.asarray(c[0] + c[1] + c[2])))
-    p00 = float(_expit(np.asarray(c[0])))
+    c = _coefficients(np.column_stack([np.ones(y.shape[0]), a0, a1]), y, w)
+    p11 = float(_plain_expit(c[0] + c[1] + c[2]))
+    p00 = float(_plain_expit(c[0]))
     return p11 / p00, p11, p00

@@ -98,6 +98,37 @@ class TestEvalueCommand:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evalue", "--measure", "rr", "--value", "1e200", "--timepoints", "2", "--human"],
+            ["evalue", "--measure", "rr", "--value", "1e200", "--timepoints", "2"],
+            ["evalue", "--measure", "or", "--value", "1e-320", "--timepoints", "1"],
+            ["curve", "--rr", "1e300"],
+        ],
+    )
+    def test_evalue_overflow_exits_2(self, capsys, argv):
+        # finite risk ratios above ~1.3e154 have no finite E-value
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "overflows" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--rr", "1e154"],
+            ["curve", "--rr", "1.34e154"],
+            ["evalue", "--measure", "rr", "--value", "1e154", "--timepoints", "2", "--curve", "40"],
+        ],
+    )
+    def test_largest_finite_evalues_exit_0(self, capsys, argv):
+        # the E-value is finite although the squared curve strengths are not
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        assert "inf" not in out
+
     def test_missing_required_flag_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "evalue", "--measure", "rr", "--value", "1.5")
         assert code == 2

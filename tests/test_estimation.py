@@ -1,7 +1,10 @@
 """Tests for the weighting and MSM estimation layer."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from evtv import _kernels
 from evtv.estimation import (
     BootstrapFailure,
     CohortRecord,
@@ -18,6 +21,8 @@ from evtv.estimation import (
     stabilized_weights,
 )
 from evtv.simulation import SimulationParams, analyze_cohort, generate_cohort
+
+import _per_row
 
 
 def random_cohort(n: int, seed: int) -> list[CohortRecord]:
@@ -92,6 +97,36 @@ class TestFitLogistic:
         y = (xv > 0).astype(float)
         with pytest.warns(SeparationWarning):
             fit_logistic(x, y)
+
+    @pytest.mark.filterwarnings("ignore::evtv.estimation.SeparationWarning")
+    def test_matches_the_per_row_reference(self):
+        # the batched engine on one weight row against the per-row loop in
+        # tests/_per_row.py: same status and iteration count, coefficients
+        # equal up to summation order
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            n, d = int(rng.integers(20, 301)), int(rng.integers(1, 5))
+            columns = [np.ones(n)]
+            for _ in range(d - 1):
+                columns.append(rng.normal(size=n) if rng.random() < 0.5
+                               else rng.integers(0, 2, n).astype(float))
+            if d > 2 and rng.random() < 0.1:
+                columns[-1] = 2.0 * columns[1]  # collinear
+            x = np.column_stack(columns)
+            truth = 1.5 * rng.normal(size=d)
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(x @ truth)))).astype(float)
+            w = np.ones(n) if rng.random() < 0.5 else rng.integers(0, 5, n).astype(float)
+            beta, iterations, _, status = _per_row.fit_logistic(
+                x, y, w, _kernels.FIT_TOL, _kernels.FIT_MAX_ITER
+            )
+            if status == _kernels.FIT_SINGULAR:
+                with pytest.raises(SingularDesign):
+                    fit_logistic(x, y, w)
+                continue
+            fit = fit_logistic(x, y, w)
+            assert fit.converged == (status == _kernels.FIT_CONVERGED)
+            assert fit.iterations == iterations
+            assert np.allclose(fit.coefficients, beta, rtol=1e-9, atol=1e-12)
 
     def test_input_validation(self):
         x = np.ones((10, 1))
@@ -204,6 +239,14 @@ class TestFitMsm:
         w = np.ones(len(records))
         with pytest.raises(EstimationError, match="separat"):
             fit_msm(records, w)
+
+    def test_constant_outcome_is_separated(self):
+        # the same failure, under the same name, as analyze_cohort
+        records = [replace(r, y=0) for r in random_cohort(300, 3)]
+        with pytest.raises(EstimationError, match="separated fit"):
+            fit_msm(records, stabilized_weights(records))
+        with pytest.raises(EstimationError, match="separated fit"):
+            analyze_cohort(records, 0, 0)
 
     def test_weight_validation(self):
         cohort = random_cohort(100, 15)

@@ -371,7 +371,13 @@ class TestBuildReport:
             build_report(EffectEstimate(measure="rr", value=1.5), 0)
 
     def test_report_invariant_enforced(self):
+        e = EffectEstimate(measure="rr", value=2.0)
+        normalized = normalize_estimate(e)
         with pytest.raises(ValueError):
             EValueReport(
-                timepoints=2, evalue_equal_split=2.5, evalue_single_timepoint=2.0
+                estimate=e,
+                normalized=normalized,
+                timepoints=2,
+                evalue_equal_split=2.5,
+                evalue_single_timepoint=2.0,
             )

@@ -1,6 +1,7 @@
-"""Tests for the numeric kernels: the per-row and batched logistic fits
-and the cell-count weight-and-fit pipeline behind the bootstrap."""
+"""Tests for the numeric kernels: the batched logistic fit, its Cholesky
+solver and the cell-count weight-and-fit pipeline behind every estimate."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +19,9 @@ from evtv._kernels import (
     REP_NOT_CONVERGED,
     REP_OK,
     REP_SEPARATED,
-    _chol_solve,
     _chol_solve_batched,
     cell_ids,
     fit_batched,
-    fit_logistic,
     outcome_cells,
     rr_cells,
     weight_cells,
@@ -30,7 +29,7 @@ from evtv._kernels import (
 from evtv.estimation import CohortRecord, cohort_arrays
 from evtv.simulation import SimulationParams, generate_cohort
 
-from _per_row import per_row_rr
+from _per_row import _chol_solve, fit_logistic, per_row_rr
 
 
 def logistic_cohort(n: int, seed: int):
@@ -244,6 +243,17 @@ ORACLE_RR = {
 ILL_CONDITIONED_RR = 1e6
 
 
+def solve_one(h, g):
+    """_chol_solve_batched on a stack of one system."""
+    x, ok = _chol_solve_batched(h[None], g[None])
+    return x[0], ok[0]
+
+
+def fit_one(x, y, w, tol=_kernels.FIT_TOL, max_iter=_kernels.FIT_MAX_ITER):
+    """fit_batched on a single weight row: (beta, iterations, max |gradient|, status)."""
+    return tuple(v[0] for v in fit_batched(x, y, w[None, :], tol, max_iter))
+
+
 class TestCholSolve:
     def test_matches_reference_solver(self):
         rng = np.random.default_rng(3)
@@ -251,21 +261,24 @@ class TestCholSolve:
             m = rng.normal(size=(d, d))
             h = m @ m.T + d * np.eye(d)
             g = rng.normal(size=d)
-            x, ok = _chol_solve(h.copy(), g.copy())
+            x, ok = solve_one(h.copy(), g.copy())
             assert ok
             assert np.allclose(x, np.linalg.solve(h, g), rtol=1e-10)
 
     def test_flags_non_positive_definite(self):
         h = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-        _, ok = _chol_solve(h, np.ones(2))
+        x, ok = solve_one(h, np.ones(2))
         assert not ok
+        assert np.array_equal(x, np.zeros(2))
 
     def test_flags_singular(self):
         h = np.array([[1.0, 1.0], [1.0, 1.0]])
-        _, ok = _chol_solve(h, np.ones(2))
+        x, ok = solve_one(h, np.ones(2))
         assert not ok
+        assert np.array_equal(x, np.zeros(2))
 
     def test_batched_matches_scalar_bit_for_bit(self):
+        # against the scalar reference solver in tests/_per_row.py
         rng = np.random.default_rng(4)
         for d in (1, 2, 3, 4):
             m = rng.normal(size=(40, d, d))
@@ -283,6 +296,8 @@ class TestCholSolve:
 
 
 class TestNumpyFitKernel:
+    """fit_batched on one weight row, the form estimation.fit_logistic runs."""
+
     def test_recovers_known_coefficients(self):
         rng = np.random.default_rng(11)
         n = 200_000
@@ -290,7 +305,7 @@ class TestNumpyFitKernel:
         truth = np.array([-0.4, 0.9, -1.3])
         p = 1.0 / (1.0 + np.exp(-(x @ truth)))
         y = (rng.random(n) < p).astype(np.float64)
-        beta, _, gmax, status = fit_logistic(x, y, np.ones(n), 1e-8, 100)
+        beta, _, gmax, status = fit_one(x, y, np.ones(n), 1e-8, 100)
         assert status == FIT_CONVERGED
         assert gmax < 1e-8
         assert np.all(np.abs(beta - truth) < 0.05)
@@ -302,8 +317,8 @@ class TestNumpyFitKernel:
         y = (rng.random(n) < 0.5).astype(np.float64)
         w = rng.integers(1, 5, size=n).astype(np.float64)
         reps = np.repeat(np.arange(n), w.astype(np.int64))
-        beta_w, _, _, s1 = fit_logistic(x, y, w, 1e-10, 100)
-        beta_d, _, _, s2 = fit_logistic(x[reps], y[reps], np.ones(reps.shape[0]), 1e-10, 100)
+        beta_w, _, _, s1 = fit_one(x, y, w, 1e-10, 100)
+        beta_d, _, _, s2 = fit_one(x[reps], y[reps], np.ones(reps.shape[0]), 1e-10, 100)
         assert s1 == s2 == FIT_CONVERGED
         assert np.allclose(beta_w, beta_d, rtol=1e-10, atol=1e-12)
 
@@ -314,8 +329,8 @@ class TestNumpyFitKernel:
         y = (rng.random(n) < 0.4).astype(np.float64)
         w = np.ones(n)
         w[:50] = 0.0
-        beta_a, _, _, _ = fit_logistic(x, y, w, 1e-10, 100)
-        beta_b, _, _, _ = fit_logistic(x[50:], y[50:], np.ones(n - 50), 1e-10, 100)
+        beta_a, _, _, _ = fit_one(x, y, w, 1e-10, 100)
+        beta_b, _, _, _ = fit_one(x[50:], y[50:], np.ones(n - 50), 1e-10, 100)
         assert np.allclose(beta_a, beta_b, rtol=1e-10)
 
     def test_collinear_design_flagged_singular(self):
@@ -324,7 +339,7 @@ class TestNumpyFitKernel:
         z = rng.normal(size=n)
         x = np.column_stack([np.ones(n), z, 2.0 * z])
         y = (rng.random(n) < 0.5).astype(np.float64)
-        _, _, _, status = fit_logistic(x, y, np.ones(n), 1e-8, 100)
+        _, _, _, status = fit_one(x, y, np.ones(n), 1e-8, 100)
         assert status == FIT_SINGULAR
 
     def test_iteration_cap_reported(self):
@@ -333,7 +348,7 @@ class TestNumpyFitKernel:
         x = np.column_stack([np.ones(n), rng.normal(size=n)])
         p = 1.0 / (1.0 + np.exp(-(1.5 * x[:, 1] - 0.5)))
         y = (rng.random(n) < p).astype(np.float64)
-        beta, iterations, _, status = fit_logistic(x, y, np.ones(n), 1e-8, 1)
+        beta, iterations, _, status = fit_one(x, y, np.ones(n), 1e-8, 1)
         assert status == FIT_MAXITER
         assert iterations == 1
 
@@ -343,13 +358,14 @@ class TestNumpyFitKernel:
         xv = np.linspace(-2.0, 2.0, n)
         x = np.column_stack([np.ones(n), xv])
         y = (xv > 0.0).astype(np.float64)
-        beta, _, _, status = fit_logistic(x, y, np.ones(n), 1e-8, 100)
+        beta, _, _, status = fit_one(x, y, np.ones(n), 1e-8, 100)
         assert status in (FIT_CONVERGED, FIT_MAXITER)
         assert np.abs(beta).max() > _kernels.SEPARATION_BOUND
 
 
 class TestFitBatched:
     def test_each_row_matches_the_per_row_fit(self):
+        # against the per-row reference loop in tests/_per_row.py
         rng = np.random.default_rng(12)
         m = 24
         x = np.column_stack([np.ones(m), rng.integers(0, 2, m), rng.normal(size=m)])
@@ -435,6 +451,31 @@ class TestNumpyPipeline:
         assert np.array_equal(q11, p11[live]) and np.array_equal(q00, p00[live])
         assert np.array_equal(rr[live], p11[live] / p00[live])
         assert np.all(np.isnan(p11[~np.isin(np.arange(len(rr)), live)]))
+
+    def test_blocks_match_one_unblocked_call(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        counts = rng.integers(0, 7, size=(3000, N_CELLS)) * (rng.random((3000, N_CELLS)) < 0.5)
+        blocked = rr_cells(counts)
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", counts.shape[0])
+        whole = rr_cells(counts)
+        assert len(np.unique(blocked[1])) >= 4  # several failure paths reached
+        for a, b in zip(blocked, whole):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_peak_memory_is_bounded(self):
+        # 20,000 rows of n=1000 resample counts: the (R, 32) working
+        # arrays exist one block at a time
+        cells = cell_ids(*cohort_arrays(generate_cohort(SimulationParams(n=1000), 7).records))
+        freq = np.bincount(cells, minlength=N_CELLS) / cells.shape[0]
+        counts = np.random.default_rng(32).multinomial(1000, freq, size=20_000).astype(np.float64)
+        tracemalloc.start()
+        try:
+            rr, status, *_ = rr_cells(counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(status == REP_OK) and np.all(np.isfinite(rr))
+        assert peak < 12 * 2**20
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from evtv.evalue import (
     TradeoffPoint,
     build_report,
     evalue_from_rr,
-    normalize_estimate,
     tradeoff_curve,
 )
 from evtv.report import (
@@ -99,11 +98,11 @@ class TestCohortCsv:
 class TestReportJson:
     def _payload(self, **kwargs):
         e = EffectEstimate(**kwargs)
-        return json.loads(write_report_json(e, normalize_estimate(e), build_report(e, 2)))
+        return json.loads(write_report_json(build_report(e, 2)))
 
     def test_key_order(self):
         e = EffectEstimate(measure="rr", value=1.73, ci_lower=1.52, ci_upper=1.99)
-        text = write_report_json(e, normalize_estimate(e), build_report(e, 2))
+        text = write_report_json(build_report(e, 2))
         doc = json.loads(text)
         assert list(doc) == [
             "input",
@@ -143,9 +142,7 @@ class TestReportJson:
 
     def test_curve_key_appended_last(self):
         e = EffectEstimate(measure="rr", value=1.73)
-        doc = json.loads(
-            write_report_json(e, normalize_estimate(e), build_report(e, 2, 5))
-        )
+        doc = json.loads(write_report_json(build_report(e, 2, 5)))
         assert list(doc)[-1] == "curve"
         assert len(doc["curve"]) == 5
         assert list(doc["curve"][0]) == ["strength_t0", "strength_t1", "b0", "b1"]
@@ -161,9 +158,7 @@ class TestReportJson:
             ci_upper=2.9,
         )
         e = EffectEstimate(measure="rr", value=msm.rr_obs, ci_lower=1.4, ci_upper=2.9)
-        doc = json.loads(
-            write_analysis_json(msm, e, normalize_estimate(e), build_report(e, 2))
-        )
+        doc = json.loads(write_analysis_json(msm, build_report(e, 2)))
         assert list(doc) == ["estimate", "report"]
         assert list(doc["estimate"]) == [
             "rr_obs",

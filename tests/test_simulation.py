@@ -167,6 +167,12 @@ class TestTrueRrEnumerate:
         with pytest.raises(ValueError):
             true_rr_enumerate(SimulationParams(), "counterfactual")
 
+    @pytest.mark.parametrize("l1_source", ["intervened", "observed"])
+    def test_overflowing_logit_rejected(self, l1_source):
+        # math.exp(1e300) overflows; the CLI must see a ValueError (exit 2)
+        with pytest.raises(ValueError, match="too large"):
+            true_rr_enumerate(SimulationParams(l1_model=(-1e300, 0.0, 0.0)), l1_source)
+
 
 class TestAnalyzeCohort:
     @pytest.mark.parametrize("n", [60, 1000, 100_000])
@@ -183,8 +189,8 @@ class TestRunExperiment:
     def test_record_is_internally_consistent(self):
         rec = run_experiment(SimulationParams(n=500), 3, bootstrap_replicates=0)
         assert rec.seed == 3
-        assert rec.estimate.value == rec.msm.rr_obs
-        assert rec.estimate.ci_lower is None
+        assert rec.report.estimate.value == rec.msm.rr_obs
+        assert rec.report.estimate.ci_lower is None
         assert rec.report.timepoints == 2
         assert rec.true_rr_enumerated == pytest.approx(ENUM_INTERVENED, rel=1e-12)
         assert rec.true_rr_enumerated_observed_l1 == pytest.approx(
@@ -195,7 +201,7 @@ class TestRunExperiment:
         rec = run_experiment(SimulationParams(n=400), 4, bootstrap_replicates=200)
         assert rec.msm.ci_lower is not None
         assert rec.msm.ci_lower <= rec.msm.rr_obs <= rec.msm.ci_upper
-        assert rec.estimate.ci_lower == rec.msm.ci_lower
+        assert rec.report.estimate.ci_lower == rec.msm.ci_lower
 
     def test_deterministic_end_to_end(self):
         a = run_experiment(SimulationParams(n=400), 5, bootstrap_replicates=150)
