@@ -17,8 +17,8 @@ import sys
 import warnings
 from typing import Optional
 
-from . import __version__, report, simulation
-from .estimation import EstimationError
+from . import __version__, report
+from .errors import EstimationError
 from .evalue import (
     EffectEstimate,
     build_report,
@@ -163,7 +163,9 @@ def _cmd_curve(args) -> str:
     return report.write_curve(doc, args.format)
 
 
-def _parse_overrides(pairs: list[str]) -> simulation.SimulationParams:
+def _parse_overrides(pairs: list[str]):
+    from . import simulation
+
     valid = {f.name: f for f in dataclasses.fields(simulation.SimulationParams)}
     overrides: dict = {}
     for pair in pairs:
@@ -188,6 +190,8 @@ def _parse_overrides(pairs: list[str]) -> simulation.SimulationParams:
 
 
 def _cmd_simulate(args) -> str:
+    from . import simulation
+
     params = _parse_overrides(args.param)
     if "n" not in {p.partition("=")[0].strip() for p in args.param}:
         params = dataclasses.replace(params, n=args.n)
@@ -212,6 +216,8 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_analyze(args) -> str:
+    from . import simulation
+
     records = report.read_cohort_csv(args.input)
     seed = _resolve_seed(args)
     msm, rep = simulation.analyze_cohort(

@@ -20,6 +20,14 @@ import numpy as np
 
 from . import _kernels, _rng
 from ._kernels import FIT_TOL, SEPARATION_BOUND
+from .errors import (
+    BootstrapFailure,
+    EstimationError,
+    PositivityViolation,
+    SeparationWarning,
+    SingularDesign,
+    WeightDiagnosticWarning,
+)
 
 __all__ = [
     "CohortRecord",
@@ -36,30 +44,6 @@ __all__ = [
     "fit_msm",
     "bootstrap_ci",
 ]
-
-
-class EstimationError(Exception):
-    """Base class for estimation failures."""
-
-
-class SingularDesign(EstimationError):
-    """Design matrix is collinear on the observed data."""
-
-
-class PositivityViolation(EstimationError):
-    """A treatment arm is empty or a fitted treatment probability is degenerate."""
-
-
-class BootstrapFailure(EstimationError):
-    """Too many bootstrap replicates failed to produce an estimate."""
-
-
-class SeparationWarning(UserWarning):
-    """The likelihood maximum lies at infinite coefficients."""
-
-
-class WeightDiagnosticWarning(UserWarning):
-    """Mean stabilized weight far from 1, suggesting model misspecification."""
 
 
 @dataclass(frozen=True)
@@ -297,13 +281,29 @@ def cell_msm(counts: np.ndarray, fit: tuple, r: int) -> MsmResult:
     return _msm_result(status[r], p11[r], p00[r], weight_mean, np.max(w))
 
 
+# the bootstrap holds a few (replicates, 32) float arrays at once, ~51 MB
+# each at the cap; a larger count fails with exit 2 instead of a MemoryError
+MAX_BOOTSTRAP_REPLICATES = 200_000
+
+
+def check_replicates(replicates: int) -> int:
+    """A bootstrap replicate count as an int, from 100 to MAX_BOOTSTRAP_REPLICATES."""
+    reps = int(replicates)
+    if reps < 100:
+        raise ValueError(f"replicates must be >= 100, got {replicates!r}")
+    if reps > MAX_BOOTSTRAP_REPLICATES:
+        raise ValueError(
+            f"replicates must be <= MAX_BOOTSTRAP_REPLICATES ({MAX_BOOTSTRAP_REPLICATES}), "
+            f"got {reps}"
+        )
+    return reps
+
+
 def resample_counts(cells: np.ndarray, replicates: int, seed: int) -> np.ndarray:
     """Cell counts (replicates, 32) of bootstrap resamples, subjects drawn
     with replacement; replicate r draws from the stream (seed, bootstrap
     domain, r)."""
-    reps = int(replicates)
-    if reps < 100:
-        raise ValueError(f"replicates must be >= 100, got {replicates!r}")
+    reps = check_replicates(replicates)
     seed = _rng.check_seed(seed)
     n = cells.shape[0]
     counts = np.empty((reps, _kernels.N_CELLS))

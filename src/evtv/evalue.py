@@ -46,6 +46,10 @@ __all__ = [
 # floating-point band around the null inside which values snap to 1
 _NULL_EPS = 1e-12
 
+# largest trade-off curve grid; a larger one fails with exit 2 instead of
+# filling memory with points (the CLI default is 200)
+MAX_CURVE_POINTS = 100_000
+
 
 class Measure(str, Enum):
     RR = "rr"
@@ -307,6 +311,8 @@ def tradeoff_curve(rr_target: float, n_points: int = 200) -> list[TradeoffPoint]
     n = int(n_points)
     if n < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points!r}")
+    if n > MAX_CURVE_POINTS:
+        raise ValueError(f"n_points must be <= MAX_CURVE_POINTS ({MAX_CURVE_POINTS}), got {n}")
     e_single = evalue_from_rr(rr_target)
     if rr_target == 1.0:
         return [TradeoffPoint(1.0, 1.0, 1.0, 1.0)] * n

@@ -14,16 +14,18 @@ import io
 import json
 import warnings
 from dataclasses import dataclass
-from typing import IO, Iterable, Literal, Optional, Sequence, Union
+from typing import IO, TYPE_CHECKING, Iterable, Literal, Optional, Sequence, Union
 
 from . import __version__
-from .estimation import CohortRecord, MsmResult
 from .evalue import (
     EValueReport,
     TradeoffPoint,
     equal_split_evalue,
     evalue_from_rr,
 )
+
+if TYPE_CHECKING:
+    from .estimation import CohortRecord, MsmResult
 
 __all__ = [
     "CurveDocument",
@@ -123,6 +125,8 @@ def read_cohort_csv(source: Union[str, IO[str]]) -> list[CohortRecord]:
     order); extra columns are ignored with a warning.  Cells must be the
     integers 0 or 1.  Row numbers in errors count the header as row 1.
     """
+    from .estimation import CohortRecord
+
     stream, owned = _open_source(source)
     try:
         reader = csv.reader(stream)

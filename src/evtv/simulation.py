@@ -33,6 +33,7 @@ from .estimation import (
     MsmResult,
     bootstrap_ci,
     cell_msm,
+    check_replicates,
     cohort_cells,
     percentile_ci,
     resample_counts,
@@ -95,6 +96,8 @@ class SimulationParams:
             coefs = tuple(float(c) for c in getattr(self, name))
             if len(coefs) != width:
                 raise ValueError(f"{name} needs {width} coefficients, got {len(coefs)}")
+            if not all(math.isfinite(c) for c in coefs):
+                raise ValueError(f"{name} coefficients must be finite, got {coefs!r}")
             object.__setattr__(self, name, coefs)
         if not (isinstance(self.n, (int, np.integer)) and not isinstance(self.n, bool)):
             raise ValueError(f"n must be an integer, got {self.n!r}")
@@ -162,20 +165,23 @@ def generate_cohort(params: SimulationParams, seed: int) -> GeneratedCohort:
     def draws(tag: int) -> np.ndarray:
         return _rng.stream(seed, _rng.COHORT_DOMAIN, tag).random(n)
 
-    u0 = (draws(_TAG_U0) < params.p_u0).astype(np.int64)
-    l0 = (draws(_TAG_L0) < params.p_l0).astype(np.int64)
-    c = params.a0_model
-    a0 = (draws(_TAG_A0) < expit(c[0] + c[1] * l0 + c[2] * u0)).astype(np.int64)
-    u1 = (draws(_TAG_U1) < params.p_u1).astype(np.int64)
-    c = params.l1_model
-    l1 = (draws(_TAG_L1) < expit(c[0] + c[1] * a0 + c[2] * l0)).astype(np.int64)
-    c = params.a1_model
-    a1 = (draws(_TAG_A1) < expit(c[0] + c[1] * a0 + c[2] * l1 + c[3] * u1)).astype(np.int64)
+    # a logit below about -709 overflows exp to inf, and expit correctly
+    # returns 0; the overflow is not worth a warning on stderr
+    with np.errstate(over="ignore"):
+        u0 = (draws(_TAG_U0) < params.p_u0).astype(np.int64)
+        l0 = (draws(_TAG_L0) < params.p_l0).astype(np.int64)
+        c = params.a0_model
+        a0 = (draws(_TAG_A0) < expit(c[0] + c[1] * l0 + c[2] * u0)).astype(np.int64)
+        u1 = (draws(_TAG_U1) < params.p_u1).astype(np.int64)
+        c = params.l1_model
+        l1 = (draws(_TAG_L1) < expit(c[0] + c[1] * a0 + c[2] * l0)).astype(np.int64)
+        c = params.a1_model
+        a1 = (draws(_TAG_A1) < expit(c[0] + c[1] * a0 + c[2] * l1 + c[3] * u1)).astype(np.int64)
 
-    po = np.empty((n, 4), dtype=np.int64)
-    for j, (ra0, ra1) in enumerate(REGIMES):
-        p = expit(params.outcome_logit(ra0, ra1, l0, l1, u0, u1))
-        po[:, j] = draws(_TAG_PO + j) < p
+        po = np.empty((n, 4), dtype=np.int64)
+        for j, (ra0, ra1) in enumerate(REGIMES):
+            p = expit(params.outcome_logit(ra0, ra1, l0, l1, u0, u1))
+            po[:, j] = draws(_TAG_PO + j) < p
     y = po[np.arange(n), 2 * a0 + a1]
 
     records = tuple(
@@ -359,10 +365,8 @@ def run_replications(
         raise ValueError(f"replications must be >= 1, got {replications!r}")
     # surface a bad bootstrap setting directly instead of letting it
     # masquerade as a failure of every replication
-    if bootstrap_replicates and bootstrap_replicates < 100:
-        raise ValueError(
-            f"bootstrap_replicates must be 0 or >= 100, got {bootstrap_replicates!r}"
-        )
+    if bootstrap_replicates:
+        check_replicates(bootstrap_replicates)
     # keep each replication's cell counts, not its cohort; one rr_cells call fits them all
     seeds = [_rng.child_seed(seed, _rng.REPLICATION_DOMAIN, i) for i in range(reps)]
     counts = np.empty((reps, N_CELLS))

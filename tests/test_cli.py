@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from evtv import cli
-from evtv.evalue import evalue_from_rr
+from evtv.estimation import MAX_BOOTSTRAP_REPLICATES
+from evtv.evalue import MAX_CURVE_POINTS, evalue_from_rr
 from evtv.report import read_cohort_csv
 
 
@@ -252,6 +254,25 @@ class TestSimulateCommand:
         code, _, _ = run_cli(capsys, "simulate", "--bootstrap", "0", "--param", "p_u0")
         assert code == 2
 
+    @pytest.mark.parametrize("name, value", [
+        ("outcome_model", "nan,0,0,0,0,0,0,0"),
+        ("a0_model", "inf,0,0"),
+    ])
+    def test_non_finite_coefficient_exits_2(self, capsys, name, value):
+        code, _, err = run_cli(
+            capsys, "simulate", "--n", "60", "--bootstrap", "0", "--param", f"{name}={value}"
+        )
+        assert code == 2
+        assert err.startswith(f"error: {name} coefficients must be finite")
+
+    def test_generator_overflow_is_silent(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "--n", "300", "--bootstrap", "0",
+            "--param", "a1_model=0,0,0,-800",
+        )
+        assert code == 0
+        assert err == ""
+
     def test_cohort_out(self, capsys, tmp_path):
         path = tmp_path / "cohort.csv"
         code, out, _ = run_cli(
@@ -381,6 +402,37 @@ class TestTopLevel:
     def test_version_exits_0(self, capsys):
         assert cli.main(["--version"]) == 0
         assert "evtv" in capsys.readouterr().out
+
+
+class TestSizeCaps:
+    """A size one past its cap exits 2 naming the cap, and is refused before
+    anything of that size is allocated: the call peaks below 1 MiB, where
+    the refused work would take tens of megabytes."""
+
+    @pytest.mark.parametrize("argv, cap", [
+        (["analyze", "--bootstrap", str(MAX_BOOTSTRAP_REPLICATES + 1)],
+         "MAX_BOOTSTRAP_REPLICATES"),
+        (["analyze", "--bootstrap", "0", "--curve", str(MAX_CURVE_POINTS + 1)],
+         "MAX_CURVE_POINTS"),
+        (["curve", "--rr", "1.73", "--points", str(MAX_CURVE_POINTS + 1)], "MAX_CURVE_POINTS"),
+        (["evalue", "--measure", "rr", "--value", "1.73", "--timepoints", "2",
+          "--curve", str(MAX_CURVE_POINTS + 1)], "MAX_CURVE_POINTS"),
+    ])
+    def test_cap_fires_before_allocating(self, capsys, tmp_path, argv, cap):
+        if argv[0] == "analyze":
+            cohort = tmp_path / "cohort.csv"
+            run_cli(capsys, "simulate", "--n", "200", "--seed", "8", "--bootstrap", "0",
+                    "--cohort-out", str(cohort))
+            argv = argv + ["--input", str(cohort)]
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert cap in err
+        assert peak < 1 << 20
 
 
 class TestInstalledEntryPoint:
