@@ -13,8 +13,8 @@ Only `estimation`, `simulation` and their helpers `_kernels` and `_rng`
 load numpy.  The names below are resolved on first access (PEP 562), so
 `import evtv`, `import evtv.cli` and the `evalue`, `convert` and `curve`
 commands never load numpy.  The first access to an estimation or
-simulation name, a call of `read_cohort_csv` (it builds `CohortRecord`s),
-or a `simulate` or `analyze` command does.
+simulation name, a call of `read_cohort_csv` or `write_cohort_csv` (numpy
+columns), or a `simulate` or `analyze` command does.
 """
 
 import importlib
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "errors": ("BootstrapFailure", "EstimationError", "PositivityViolation",
                "SeparationWarning", "SingularDesign", "WeightDiagnosticWarning"),
-    "estimation": ("CohortRecord", "FittedLogistic", "MsmResult", "bootstrap_ci",
+    "estimation": ("Cohort", "FittedLogistic", "MsmResult", "bootstrap_ci",
                    "fit_logistic", "fit_msm", "stabilized_weights"),
     "evalue": ("BiasFactor", "ConfounderStrength", "EffectEstimate", "EValueReport",
                "Measure", "NormalizedEstimate", "TradeoffPoint", "adjusted_rr",

@@ -22,6 +22,7 @@ from .errors import EstimationError
 from .evalue import (
     EffectEstimate,
     build_report,
+    check_curve_points,
     normalize_estimate,
     tradeoff_curve,
 )
@@ -120,7 +121,7 @@ def _curve_points(args) -> int:
     if args.timepoints != 2:
         print("note: trade-off curves exist only for two time points; omitting", file=sys.stderr)
         return 0
-    return args.curve
+    return check_curve_points(args.curve)
 
 
 def _cmd_evalue(args) -> str:
@@ -201,7 +202,7 @@ def _cmd_simulate(args) -> str:
     if args.reps == 1:
         record = simulation.run_experiment(params, seed, args.bootstrap)
         if args.cohort_out:
-            _write_text(args.cohort_out, report.write_cohort_csv(record.cohort.records))
+            _write_text(args.cohort_out, report.write_cohort_csv(record.cohort.observed))
         return report.write_experiment_json(record)
     if args.cohort_out:
         raise ValueError("--cohort-out requires a single replication")
@@ -218,11 +219,13 @@ def _cmd_simulate(args) -> str:
 def _cmd_analyze(args) -> str:
     from . import simulation
 
-    records = report.read_cohort_csv(args.input)
+    # refuse out-of-range sizes before reading the file
+    points = _curve_points(args)
+    if args.bootstrap:
+        simulation.check_replicates(args.bootstrap)
+    cohort = report.read_cohort_csv(args.input)
     seed = _resolve_seed(args)
-    msm, rep = simulation.analyze_cohort(
-        records, args.bootstrap, seed, args.timepoints, _curve_points(args)
-    )
+    msm, rep = simulation.analyze_cohort(cohort, args.bootstrap, seed, args.timepoints, points)
     return report.write_analysis_json(msm, rep)
 
 

@@ -13,8 +13,8 @@ and one table, _FAILURES, turns a failed status into its error for every kind of
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -27,10 +27,11 @@ from .errors import (
     SeparationWarning,
     SingularDesign,
     WeightDiagnosticWarning,
+    check_size,
 )
 
 __all__ = [
-    "CohortRecord",
+    "Cohort",
     "FittedLogistic",
     "MsmResult",
     "EstimationError",
@@ -46,22 +47,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CohortRecord:
-    """One subject's observed history: baseline confounder and treatment,
-    time-1 confounder and treatment, outcome.  All binary."""
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """Observed histories, one entry per subject in each of five columns:
+    baseline confounder and treatment, time-1 confounder and treatment,
+    outcome.  The columns are stored as read-only uint8 copies, checked
+    once to be 1-D, of one nonzero length and binary."""
 
-    l0: int
-    a0: int
-    l1: int
-    a1: int
-    y: int
+    l0: np.ndarray
+    a0: np.ndarray
+    l1: np.ndarray
+    a1: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("l0", "a0", "l1", "a1", "y"):
-            v = getattr(self, name)
-            if v not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1, got {v!r}")
+        for f in fields(self):
+            v = np.asarray(getattr(self, f.name))
+            if v.ndim != 1 or v.shape != np.shape(self.l0):
+                raise ValueError("cohort columns must be 1-D and of equal length")
+            bad = np.flatnonzero((v != 0) & (v != 1))
+            if bad.size:
+                raise ValueError(f"{f.name} must be 0 or 1, got {v[bad[0]]} at row {bad[0]}")
+            v = v.astype(np.uint8)
+            v.flags.writeable = False
+            object.__setattr__(self, f.name, v)
+        if not len(self):
+            raise ValueError("cohort is empty")
+
+    def __len__(self) -> int:
+        return self.y.shape[0]
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The five columns in the order (l0, a0, l1, a1, y)."""
+        return (self.l0, self.a0, self.l1, self.a1, self.y)
 
 
 @dataclass(frozen=True)
@@ -103,22 +122,6 @@ class MsmResult:
             raise ValueError("confidence interval needs both limits or neither")
         if self.ci_lower is not None and self.ci_lower > self.ci_upper:
             raise ValueError("ci_lower exceeds ci_upper")
-
-
-def cohort_arrays(
-    cohort: Sequence[CohortRecord],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unpack records into float arrays (l0, a0, l1, a1, y)."""
-    if len(cohort) == 0:
-        raise ValueError("cohort is empty")
-    out = np.empty((5, len(cohort)))
-    for i, r in enumerate(cohort):
-        out[0, i] = r.l0
-        out[1, i] = r.a0
-        out[2, i] = r.l1
-        out[3, i] = r.a1
-        out[4, i] = r.y
-    return tuple(np.ascontiguousarray(row) for row in out)
 
 
 def fit_logistic(
@@ -215,15 +218,12 @@ def _msm_result(status, p11, p00, weight_mean, weight_max) -> MsmResult:
     return MsmResult(p11 / p00, p11, p00, float(weight_mean), float(weight_max))
 
 
-def cohort_cells(cohort: Sequence[CohortRecord]) -> np.ndarray:
+def cohort_cells(cohort: Cohort) -> np.ndarray:
     """Cell index 0..31 of each subject (see _kernels.cell_ids)."""
-    return _kernels.cell_ids(*cohort_arrays(cohort))
+    return _kernels.cell_ids(*cohort.columns)
 
 
-def stabilized_weights(
-    cohort: Sequence[CohortRecord],
-    truncate_percentile: Optional[float] = None,
-) -> np.ndarray:
+def stabilized_weights(cohort: Cohort, truncate_percentile: Optional[float] = None) -> np.ndarray:
     """Per-subject stabilized inverse-probability-of-treatment weights.
 
     The denominator models condition on measured history, P(A0 | L0) and
@@ -250,7 +250,7 @@ def stabilized_weights(
     return sw
 
 
-def fit_msm(cohort: Sequence[CohortRecord], weights: np.ndarray) -> MsmResult:
+def fit_msm(cohort: Cohort, weights: np.ndarray) -> MsmResult:
     """Fit the weighted marginal outcome model and read off the risk ratio.
 
     The model is logit P(Y | A0, A1) = a + b*A0 + c*A1, fitted on the
@@ -288,15 +288,8 @@ MAX_BOOTSTRAP_REPLICATES = 200_000
 
 def check_replicates(replicates: int) -> int:
     """A bootstrap replicate count as an int, from 100 to MAX_BOOTSTRAP_REPLICATES."""
-    reps = int(replicates)
-    if reps < 100:
-        raise ValueError(f"replicates must be >= 100, got {replicates!r}")
-    if reps > MAX_BOOTSTRAP_REPLICATES:
-        raise ValueError(
-            f"replicates must be <= MAX_BOOTSTRAP_REPLICATES ({MAX_BOOTSTRAP_REPLICATES}), "
-            f"got {reps}"
-        )
-    return reps
+    return check_size(replicates, "replicates", 100,
+                      "MAX_BOOTSTRAP_REPLICATES", MAX_BOOTSTRAP_REPLICATES)
 
 
 def resample_counts(cells: np.ndarray, replicates: int, seed: int) -> np.ndarray:
@@ -332,11 +325,7 @@ def percentile_ci(rr: np.ndarray, status: np.ndarray) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def bootstrap_ci(
-    cohort: Sequence[CohortRecord],
-    replicates: int = 1000,
-    seed: int = 0,
-) -> tuple[float, float]:
+def bootstrap_ci(cohort: Cohort, replicates: int = 1000, seed: int = 0) -> tuple[float, float]:
     """Percentile bootstrap interval for the marginal risk ratio: one
     batched fit (_kernels.rr_cells) on the 32 cell counts of every
     resample (resample_counts); failed replicates are dropped, and more

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Literal, Optional, Union
 
+from .errors import check_size
+
 __all__ = [
     "Measure",
     "Scenario",
@@ -297,6 +299,11 @@ def residual_evalue(rr_obs: float, b0: Union[BiasFactor, float]) -> float:
     return evalue_from_rr(rr_obs / min(b, rr_obs))
 
 
+def check_curve_points(n_points: int) -> int:
+    """A curve grid size as an int, from 2 to MAX_CURVE_POINTS."""
+    return check_size(n_points, "n_points", 2, "MAX_CURVE_POINTS", MAX_CURVE_POINTS)
+
+
 def tradeoff_curve(rr_target: float, n_points: int = 200) -> list[TradeoffPoint]:
     """All admissible splits of the required confounding between two time points.
 
@@ -308,11 +315,7 @@ def tradeoff_curve(rr_target: float, n_points: int = 200) -> list[TradeoffPoint]
     two time points traces the same curve.
     """
     rr_target = _checked_rr(rr_target, "rr_target")
-    n = int(n_points)
-    if n < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points!r}")
-    if n > MAX_CURVE_POINTS:
-        raise ValueError(f"n_points must be <= MAX_CURVE_POINTS ({MAX_CURVE_POINTS}), got {n}")
+    n = check_curve_points(n_points)
     e_single = evalue_from_rr(rr_target)
     if rr_target == 1.0:
         return [TradeoffPoint(1.0, 1.0, 1.0, 1.0)] * n

@@ -14,7 +14,7 @@ import io
 import json
 import warnings
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Iterable, Literal, Optional, Sequence, Union
+from typing import IO, TYPE_CHECKING, Iterable, Literal, Optional, Union
 
 from . import __version__
 from .evalue import (
@@ -25,7 +25,7 @@ from .evalue import (
 )
 
 if TYPE_CHECKING:
-    from .estimation import CohortRecord, MsmResult
+    from .estimation import Cohort, MsmResult
 
 __all__ = [
     "CurveDocument",
@@ -112,71 +112,70 @@ def curve_document(
     )
 
 
-def _open_source(source: Union[str, IO[str]]) -> tuple[IO[str], bool]:
-    if hasattr(source, "read"):
-        return source, False
-    return open(source, "r", encoding="utf-8-sig", newline=""), True
-
-
-def read_cohort_csv(source: Union[str, IO[str]]) -> list[CohortRecord]:
-    """Parse a cohort CSV into records, preserving file order.
+def read_cohort_csv(source: Union[str, IO[str]]) -> Cohort:
+    """Parse a cohort CSV file or text stream into a Cohort, preserving
+    file order; a stream is read to its end and left open.
 
     The header must contain l0, a0, l1, a1, y (case-insensitive, any
     order); extra columns are ignored with a warning.  Cells must be the
     integers 0 or 1.  Row numbers in errors count the header as row 1.
+    A body in write_cohort_csv's layout (one-character cells, "\n" line
+    ends) is parsed in one vectorised pass, any other body row by row.
     """
-    from .estimation import CohortRecord
+    import numpy as np
 
-    stream, owned = _open_source(source)
+    from .estimation import Cohort
+
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+            text = fh.read()
+    lines = io.StringIO(text, newline="")
     try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile("cohort CSV has no header row") from None
-        # a byte order mark survives stream inputs decoded as plain utf-8
-        names = [h.lstrip("\ufeff").strip().lower() for h in header]
-        missing = [c for c in COHORT_COLUMNS if c not in names]
-        if missing:
-            raise MissingColumn(f"cohort CSV is missing columns: {', '.join(missing)}")
-        extra = [h for h in names if h not in COHORT_COLUMNS]
-        if extra:
-            warnings.warn(
-                f"ignoring extra cohort CSV columns: {', '.join(extra)}",
-                UserWarning,
-                stacklevel=2,
-            )
-        positions = [names.index(c) for c in COHORT_COLUMNS]
-        records: list[CohortRecord] = []
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) < len(names):
-                raise ValueError(
-                    f"row {rownum}: expected {len(names)} cells, got {len(row)}"
-                )
-            values = []
-            for col, pos in zip(COHORT_COLUMNS, positions):
-                cell = row[pos].strip()
-                if cell not in ("0", "1"):
-                    raise NonBinaryValue(
-                        f"row {rownum}, column {col}: {cell!r} is not 0 or 1"
-                    )
-                values.append(int(cell))
-            records.append(CohortRecord(*values))
-        if not records:
-            raise EmptyFile("cohort CSV has no data rows")
-        return records
-    finally:
-        if owned:
-            stream.close()
+        header = next(csv.reader(lines))
+    except StopIteration:
+        raise EmptyFile("cohort CSV has no header row") from None
+    # a byte order mark survives stream inputs decoded as plain utf-8
+    names = [h.lstrip("\ufeff").strip().lower() for h in header]
+    missing = [c for c in COHORT_COLUMNS if c not in names]
+    if missing:
+        raise MissingColumn(f"cohort CSV is missing columns: {', '.join(missing)}")
+    extra = [h for h in names if h not in COHORT_COLUMNS]
+    if extra:
+        warnings.warn(f"ignoring extra cohort CSV columns: {', '.join(extra)}", stacklevel=2)
+    positions = [names.index(c) for c in COHORT_COLUMNS]
+    body = lines.read()
+    # XOR with the layout "0,0,...,0\n" maps a "0"/"1" cell to 0/1 and a
+    # matching separator to 0; every other byte gives a value above 0 or 1
+    layout = np.frombuffer(("0," * len(names))[:-1].encode() + b"\n", dtype=np.uint8)
+    grid = np.frombuffer(body.encode(), dtype=np.uint8)
+    if grid.size and grid.size % layout.size == 0:
+        grid = grid.reshape(-1, layout.size) ^ layout
+        if grid.max() <= 1 and not grid[:, 1::2].any():
+            return Cohort(*(grid[:, 2 * p] for p in positions))
+    values = bytearray()
+    for rownum, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if len(row) < len(names):
+            raise ValueError(f"row {rownum}: expected {len(names)} cells, got {len(row)}")
+        for col, pos in zip(COHORT_COLUMNS, positions):
+            cell = row[pos].strip()
+            if cell not in ("0", "1"):
+                raise NonBinaryValue(f"row {rownum}, column {col}: {cell!r} is not 0 or 1")
+            values.append(cell == "1")
+    if not values:
+        raise EmptyFile("cohort CSV has no data rows")
+    return Cohort(*np.frombuffer(values, dtype=np.uint8).reshape(-1, len(COHORT_COLUMNS)).T)
 
 
-def write_cohort_csv(records: Sequence[CohortRecord]) -> str:
-    """Serialize records to CSV text; inverse of read_cohort_csv."""
-    out = io.StringIO()
-    out.write(",".join(COHORT_COLUMNS) + "\n")
-    for r in records:
-        out.write(f"{r.l0},{r.a0},{r.l1},{r.a1},{r.y}\n")
-    return out.getvalue()
+def write_cohort_csv(cohort: Cohort) -> str:
+    """Serialize a cohort to CSV text; inverse of read_cohort_csv."""
+    import numpy as np
+
+    grid = np.full((len(cohort), 2 * len(COHORT_COLUMNS)), ord(","), dtype=np.uint8)
+    grid[:, ::2] = np.column_stack(cohort.columns) + ord("0")
+    grid[:, -1] = ord("\n")
+    return ",".join(COHORT_COLUMNS) + "\n" + grid.tobytes().decode("ascii")
 
 
 def _report_payload(report: EValueReport) -> dict:

@@ -21,14 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional
 
 import numpy as np
 
 from . import _rng
 from ._kernels import N_CELLS, expit, rr_cells
+from .errors import check_size
 from .estimation import (
-    CohortRecord,
+    Cohort,
     EstimationError,
     MsmResult,
     bootstrap_ci,
@@ -61,6 +62,10 @@ L1Source = Literal["intervened", "observed"]
 # stream tags within the cohort domain, one per simulated variable
 _TAG_U0, _TAG_L0, _TAG_A0, _TAG_U1, _TAG_L1, _TAG_A1 = range(6)
 _TAG_PO = 6  # tags 6..9 hold the four potential-outcome draws
+
+# size caps, checked before allocating (exit 2, not a MemoryError); peaks from tracemalloc, scaled
+MAX_COHORT_SIZE = 10_000_000  # `simulate`: ~120 B per subject, ~1.2 GB at the cap
+MAX_REPLICATIONS = 100_000  # ~2.3 KB per replication plus one cohort, ~230 MB
 
 
 @dataclass(frozen=True)
@@ -101,9 +106,8 @@ class SimulationParams:
             object.__setattr__(self, name, coefs)
         if not (isinstance(self.n, (int, np.integer)) and not isinstance(self.n, bool)):
             raise ValueError(f"n must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        n = check_size(int(self.n), "n", 1, "MAX_COHORT_SIZE", MAX_COHORT_SIZE)
+        object.__setattr__(self, "n", n)
 
     def outcome_logit(self, a0, a1, l0, l1, u0, u1):
         m = self.outcome_model
@@ -124,27 +128,26 @@ class GeneratedCohort:
     """A simulated cohort with its unmeasured confounders and all four
     potential outcomes retained for oracle checks.
 
-    potential_outcomes has one row per subject and one column per regime
-    in REGIMES order.  The observed outcome of every record equals the
-    potential outcome of the treatments actually received.
+    observed holds the measured columns; potential_outcomes has one row per
+    subject and one column per regime in REGIMES order.  Every observed
+    outcome equals the potential outcome of the treatments received.
     """
 
-    records: tuple[CohortRecord, ...]
+    observed: Cohort
     u0: np.ndarray
     u1: np.ndarray
     potential_outcomes: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.records)
-        po = self.potential_outcomes
+        o, po, n = self.observed, self.potential_outcomes, len(self.observed)
         if po.shape != (n, 4) or self.u0.shape != (n,) or self.u1.shape != (n,):
             raise ValueError("cohort arrays do not match the record count")
-        for i, r in enumerate(self.records):
-            if r.y != po[i, 2 * r.a0 + r.a1]:
-                raise ValueError(
-                    f"record {i} violates consistency: observed outcome differs "
-                    "from the potential outcome of the received treatments"
-                )
+        bad = np.flatnonzero(o.y != po[np.arange(n), 2 * o.a0 + o.a1])
+        if bad.size:
+            raise ValueError(
+                f"record {bad[0]} violates consistency: observed outcome differs "
+                "from the potential outcome of the received treatments"
+            )
 
     def regime_outcomes(self, a0: int, a1: int) -> np.ndarray:
         return self.potential_outcomes[:, 2 * a0 + a1]
@@ -182,13 +185,8 @@ def generate_cohort(params: SimulationParams, seed: int) -> GeneratedCohort:
         for j, (ra0, ra1) in enumerate(REGIMES):
             p = expit(params.outcome_logit(ra0, ra1, l0, l1, u0, u1))
             po[:, j] = draws(_TAG_PO + j) < p
-    y = po[np.arange(n), 2 * a0 + a1]
-
-    records = tuple(
-        CohortRecord(int(l0[i]), int(a0[i]), int(l1[i]), int(a1[i]), int(y[i]))
-        for i in range(n)
-    )
-    return GeneratedCohort(records=records, u0=u0, u1=u1, potential_outcomes=po)
+    observed = Cohort(l0, a0, l1, a1, po[np.arange(n), 2 * a0 + a1])
+    return GeneratedCohort(observed=observed, u0=u0, u1=u1, potential_outcomes=po)
 
 
 def true_rr_mc(cohort: GeneratedCohort) -> float:
@@ -273,11 +271,7 @@ class ExperimentRecord:
 
 
 def analyze_cohort(
-    records: Sequence[CohortRecord],
-    bootstrap: int,
-    seed: int,
-    timepoints: int = 2,
-    curve_points: int = 0,
+    cohort: Cohort, bootstrap: int, seed: int, timepoints: int = 2, curve_points: int = 0
 ) -> tuple[MsmResult, EValueReport]:
     """Estimate a cohort's risk ratio and derive its E-value report.
 
@@ -285,7 +279,7 @@ def analyze_cohort(
     `bootstrap` resamples (resample_counts) under the same failure rules.
     Returns (msm, report).
     """
-    cells = cohort_cells(records)
+    cells = cohort_cells(cohort)
     counts = np.bincount(cells, minlength=N_CELLS)[None, :]
     if bootstrap:
         counts = np.vstack([counts, resample_counts(cells, bootstrap, seed)])
@@ -317,7 +311,7 @@ def run_experiment(
         raise ValueError("bootstrap_replicates must be >= 0")
     cohort = generate_cohort(params, seed)
     rr_true = true_rr_mc(cohort)
-    msm, report = analyze_cohort(cohort.records, bootstrap_replicates, seed)
+    msm, report = analyze_cohort(cohort.observed, bootstrap_replicates, seed)
     return ExperimentRecord(
         params=params,
         seed=seed,
@@ -360,9 +354,7 @@ def run_replications(
     EstimationError.
     """
     seed = _rng.check_seed(seed)
-    reps = int(replications)
-    if reps < 1:
-        raise ValueError(f"replications must be >= 1, got {replications!r}")
+    reps = check_size(replications, "replications", 1, "MAX_REPLICATIONS", MAX_REPLICATIONS)
     # surface a bad bootstrap setting directly instead of letting it
     # masquerade as a failure of every replication
     if bootstrap_replicates:
@@ -373,12 +365,12 @@ def run_replications(
     drawn = []
     for i, child in enumerate(seeds):
         cohort = generate_cohort(params, child)
-        counts[i] = np.bincount(cohort_cells(cohort.records), minlength=N_CELLS)
+        counts[i] = np.bincount(cohort_cells(cohort.observed), minlength=N_CELLS)
         rr_true, interval, error = None, (None, None), None
         try:
             rr_true = true_rr_mc(cohort)
             if bootstrap_replicates:
-                interval = bootstrap_ci(cohort.records, bootstrap_replicates, child)
+                interval = bootstrap_ci(cohort.observed, bootstrap_replicates, child)
         except (EstimationError, ValueError) as exc:
             error = str(exc)
         drawn.append((rr_true, interval, error))

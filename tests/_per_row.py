@@ -1,4 +1,4 @@
-"""Per-row reference for the batched fitting engine.
+"""Per-row references for the batched fitting engine and the cohort CSV reader.
 
 `fit_logistic` is damped Newton on one model with the scalar Cholesky
 solver `_chol_solve`, the loop the package ran per fit before every fit
@@ -8,8 +8,12 @@ the package computed it before every estimate moved to the 32 cell
 counts: four treatment fits and the weighted outcome fit, each run by
 this reference fit on n rows.  Tests compare the engine against them;
 only the summation order differs, so the two agree to floating-point
-roundoff.
+roundoff.  `read_cohort_rows` is the cohort CSV reader as the package ran
+it before the columnar `Cohort`: csv.reader and one row at a time.
 """
+import csv
+import warnings
+
 import numpy as np
 
 from evtv._kernels import (
@@ -22,7 +26,74 @@ from evtv._kernels import (
     _expit,
     _loglik,
 )
-from evtv.estimation import PositivityViolation, SingularDesign, cohort_arrays
+from evtv.estimation import Cohort, PositivityViolation, SingularDesign
+from evtv.report import COHORT_COLUMNS, EmptyFile, MissingColumn, NonBinaryValue
+
+
+def cohort_from_rows(rows) -> Cohort:
+    """A Cohort from (l0, a0, l1, a1, y) rows."""
+    return Cohort(*np.array(rows, dtype=np.int64).reshape(-1, 5).T)
+
+
+def cohort_rows(cohort: Cohort) -> list[tuple[int, ...]]:
+    """The (l0, a0, l1, a1, y) rows of a Cohort, as Python ints."""
+    return [tuple(r) for r in np.column_stack(cohort.columns).tolist()]
+
+
+def float_columns(cohort: Cohort):
+    """(l0, a0, l1, a1, y) as float arrays."""
+    return tuple(c.astype(np.float64) for c in cohort.columns)
+
+
+def _open_source(source):
+    if hasattr(source, "read"):
+        return source, False
+    return open(source, "r", encoding="utf-8-sig", newline=""), True
+
+
+def read_cohort_rows(source):
+    """Parse a cohort CSV into (l0, a0, l1, a1, y) rows of ints, one
+    csv.reader row at a time; raises and warns as read_cohort_csv does."""
+    stream, owned = _open_source(source)
+    try:
+        reader = csv.reader(stream)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyFile("cohort CSV has no header row") from None
+        names = [h.lstrip("\ufeff").strip().lower() for h in header]
+        missing = [c for c in COHORT_COLUMNS if c not in names]
+        if missing:
+            raise MissingColumn(f"cohort CSV is missing columns: {', '.join(missing)}")
+        extra = [h for h in names if h not in COHORT_COLUMNS]
+        if extra:
+            warnings.warn(
+                f"ignoring extra cohort CSV columns: {', '.join(extra)}",
+                UserWarning,
+                stacklevel=2,
+            )
+        positions = [names.index(c) for c in COHORT_COLUMNS]
+        rows = []
+        for rownum, row in enumerate(reader, start=2):
+            if len(row) < len(names):
+                raise ValueError(
+                    f"row {rownum}: expected {len(names)} cells, got {len(row)}"
+                )
+            values = []
+            for col, pos in zip(COHORT_COLUMNS, positions):
+                cell = row[pos].strip()
+                if cell not in ("0", "1"):
+                    raise NonBinaryValue(
+                        f"row {rownum}, column {col}: {cell!r} is not 0 or 1"
+                    )
+                values.append(int(cell))
+            rows.append(tuple(values))
+        if not rows:
+            raise EmptyFile("cohort CSV has no data rows")
+        return rows
+    finally:
+        if owned:
+            stream.close()
 
 
 def _chol_solve(h, g):
@@ -108,7 +179,7 @@ def _coefficients(x, y, w=None):
 
 def per_row_weights(cohort):
     """Per-subject stabilized weights from four per-row logistic fits."""
-    l0, a0, l1, a1, _ = cohort_arrays(cohort)
+    l0, a0, l1, a1, _ = float_columns(cohort)
     for arm in (a0, a1):
         if arm.min() == arm.max():
             raise PositivityViolation("only one treatment arm present")
@@ -130,7 +201,7 @@ def per_row_weights(cohort):
 
 def per_row_rr(cohort, weights=None):
     """(rr_obs, p11, p00) of the weighted outcome model fitted on n rows."""
-    _, a0, _, a1, y = cohort_arrays(cohort)
+    _, a0, _, a1, y = float_columns(cohort)
     w = per_row_weights(cohort) if weights is None else weights
     c = _coefficients(np.column_stack([np.ones(y.shape[0]), a0, a1]), y, w)
     p11 = float(_plain_expit(c[0] + c[1] + c[2]))

@@ -261,9 +261,9 @@ def test_criterion_8_pipeline_integrity(reference_experiment, tmp_path, capsys):
     rec = reference_experiment
     # library level: export, re-read, re-estimate
     path = tmp_path / "cohort.csv"
-    path.write_text(write_cohort_csv(rec.cohort.records), encoding="utf-8")
-    records = read_cohort_csv(str(path))
-    msm = analyze_cohort(records, 1000, REFERENCE_SEED)[0]
+    path.write_text(write_cohort_csv(rec.cohort.observed), encoding="utf-8")
+    cohort = read_cohort_csv(str(path))
+    msm = analyze_cohort(cohort, 1000, REFERENCE_SEED)[0]
     ok_lib = msm == rec.msm
     # command level: simulate --cohort-out, then analyze the export
     sim_json = tmp_path / "sim.json"

@@ -7,10 +7,11 @@ import tracemalloc
 
 import pytest
 
-from evtv import cli
+from evtv import cli, report
 from evtv.estimation import MAX_BOOTSTRAP_REPLICATES
 from evtv.evalue import MAX_CURVE_POINTS, evalue_from_rr
 from evtv.report import read_cohort_csv
+from evtv.simulation import MAX_COHORT_SIZE, MAX_REPLICATIONS
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -78,6 +79,13 @@ class TestEvalueCommand:
         assert code == 0
         assert "curve" not in json.loads(out)
         assert "two time points" in err
+
+    @pytest.mark.parametrize("points", ["1", "0", "-5"])
+    def test_too_few_curve_points_exits_2(self, capsys, points):
+        code, out, err = run_cli(capsys, "evalue", "--measure", "rr", "--value", "1.73",
+                                 "--timepoints", "2", "--curve", points)
+        assert (code, out) == (2, "")
+        assert err == f"error: n_points must be >= 2, got {points}\n"
 
     def test_invalid_value_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -389,6 +397,23 @@ class TestAnalyzeCommand:
         assert code == 0
         assert len(json.loads(out)["report"]["curve"]) == 5
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--curve", "1"], "n_points must be >= 2, got 1"),
+        (["--curve", "-5"], "n_points must be >= 2, got -5"),
+        (["--curve", str(MAX_CURVE_POINTS + 1)], "n_points must be <= MAX_CURVE_POINTS"),
+        (["--bootstrap", "50"], "replicates must be >= 100, got 50"),
+        (["--bootstrap", str(MAX_BOOTSTRAP_REPLICATES + 1)],
+         "replicates must be <= MAX_BOOTSTRAP_REPLICATES"),
+    ])
+    def test_sizes_checked_before_reading(self, capsys, monkeypatch, argv, message):
+        def unread(source):
+            raise AssertionError(f"read {source} before checking sizes")
+
+        monkeypatch.setattr(report, "read_cohort_csv", unread)
+        code, out, err = run_cli(capsys, "analyze", "--input", "cohort.csv", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
 
 class TestTopLevel:
     def test_no_command_exits_2(self, capsys):
@@ -417,6 +442,11 @@ class TestSizeCaps:
         (["curve", "--rr", "1.73", "--points", str(MAX_CURVE_POINTS + 1)], "MAX_CURVE_POINTS"),
         (["evalue", "--measure", "rr", "--value", "1.73", "--timepoints", "2",
           "--curve", str(MAX_CURVE_POINTS + 1)], "MAX_CURVE_POINTS"),
+        (["simulate", "--bootstrap", "0", "--n", str(MAX_COHORT_SIZE + 1)], "MAX_COHORT_SIZE"),
+        (["simulate", "--bootstrap", "0", "--param", f"n={MAX_COHORT_SIZE + 1}"],
+         "MAX_COHORT_SIZE"),
+        (["simulate", "--bootstrap", "0", "--reps", str(MAX_REPLICATIONS + 1)],
+         "MAX_REPLICATIONS"),
     ])
     def test_cap_fires_before_allocating(self, capsys, tmp_path, argv, cap):
         if argv[0] == "analyze":

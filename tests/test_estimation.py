@@ -7,7 +7,7 @@ import pytest
 from evtv import _kernels
 from evtv.estimation import (
     BootstrapFailure,
-    CohortRecord,
+    Cohort,
     EstimationError,
     MsmResult,
     PositivityViolation,
@@ -15,7 +15,7 @@ from evtv.estimation import (
     SingularDesign,
     WeightDiagnosticWarning,
     bootstrap_ci,
-    cohort_arrays,
+    cohort_cells,
     fit_logistic,
     fit_msm,
     stabilized_weights,
@@ -23,14 +23,15 @@ from evtv.estimation import (
 from evtv.simulation import SimulationParams, analyze_cohort, generate_cohort
 
 import _per_row
+from _per_row import cohort_from_rows
 
 
-def random_cohort(n: int, seed: int) -> list[CohortRecord]:
+def random_cohort(n: int, seed: int) -> Cohort:
     """Confounded two-timepoint cohort straight from the generating process."""
-    return list(generate_cohort(SimulationParams(n=n), seed).records)
+    return generate_cohort(SimulationParams(n=n), seed).observed
 
 
-def coin_cohort(n: int, seed: int) -> list[CohortRecord]:
+def coin_cohort(n: int, seed: int) -> Cohort:
     """Cohort whose treatments are fair coins, independent of everything."""
     rng = np.random.default_rng(seed)
     l0 = rng.random(n) < 0.5
@@ -38,29 +39,45 @@ def coin_cohort(n: int, seed: int) -> list[CohortRecord]:
     l1 = rng.random(n) < 0.3 + 0.3 * l0
     a1 = rng.random(n) < 0.5
     y = rng.random(n) < 0.2 + 0.2 * a0 + 0.3 * a1
-    return [
-        CohortRecord(int(v), int(w), int(x), int(s), int(t))
-        for v, w, x, s, t in zip(l0, a0, l1, a1, y)
-    ]
+    return Cohort(l0, a0, l1, a1, y)
 
 
-class TestCohortRecord:
+class TestCohort:
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            CohortRecord(0, 0, 2, 0, 0)
-        with pytest.raises(ValueError):
-            CohortRecord(0, 0, 0, 0, -1)
+        with pytest.raises(ValueError, match="l1 must be 0 or 1, got 2 at row 1"):
+            cohort_from_rows([(0, 0, 0, 0, 0), (0, 0, 2, 0, 0)])
+        with pytest.raises(ValueError, match="y must be 0 or 1"):
+            cohort_from_rows([(0, 0, 0, 0, -1)])
+        with pytest.raises(ValueError, match="a0 must be 0 or 1"):
+            Cohort([1], [0.5], [1], [1], [0])
 
-    def test_cohort_arrays_layout(self):
-        records = [CohortRecord(1, 0, 1, 1, 0), CohortRecord(0, 1, 0, 0, 1)]
-        l0, a0, l1, a1, y = cohort_arrays(records)
-        assert l0.tolist() == [1.0, 0.0]
-        assert a0.tolist() == [0.0, 1.0]
-        assert y.tolist() == [0.0, 1.0]
+    def test_columns_layout(self):
+        cohort = cohort_from_rows([(1, 0, 1, 1, 0), (0, 1, 0, 0, 1)])
+        l0, a0, l1, a1, y = cohort.columns
+        assert l0.tolist() == [1, 0]
+        assert a0.tolist() == [0, 1]
+        assert y.tolist() == [0, 1]
+        assert all(c.dtype == np.uint8 and not c.flags.writeable for c in cohort.columns)
+        assert cohort_cells(cohort).tolist() == [0b10110, 0b01001]
+        assert len(cohort) == 2
+
+    def test_columns_are_private_copies(self):
+        l0 = np.array([1, 0])
+        cohort = Cohort(l0, l0, l0, l0, l0)
+        l0[0] = 0
+        assert cohort.l0.tolist() == [1, 0]
+        with pytest.raises(ValueError):
+            cohort.y[0] = 0
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Cohort([1, 0], [1, 0], [1, 0], [1, 0], [1])
+        with pytest.raises(ValueError, match="equal length"):
+            Cohort(*([[1, 0]],) * 5)
 
     def test_empty_cohort_rejected(self):
-        with pytest.raises(ValueError):
-            cohort_arrays([])
+        with pytest.raises(ValueError, match="empty"):
+            Cohort(*([],) * 5)
 
 
 class TestFitLogistic:
@@ -159,17 +176,17 @@ class TestStabilizedWeights:
         assert np.all(np.abs(w - 1.0) < 0.35)
 
     def test_single_arm_raises_positivity(self):
-        records = [CohortRecord(i % 2, 1, i % 2, i // 2 % 2, 0) for i in range(40)]
+        records = cohort_from_rows([(i % 2, 1, i % 2, i // 2 % 2, 0) for i in range(40)])
         with pytest.raises(PositivityViolation):
             stabilized_weights(records)
-        records = [CohortRecord(i % 2, i // 2 % 2, i % 2, 0, 0) for i in range(40)]
+        records = cohort_from_rows([(i % 2, i // 2 % 2, i % 2, 0, 0) for i in range(40)])
         with pytest.raises(PositivityViolation):
             stabilized_weights(records)
 
     def test_constant_outcome_still_weighted(self):
         # the outcome plays no part in the treatment models; only the
         # risk ratio needs both outcomes
-        records = [CohortRecord(r.l0, r.a0, r.l1, r.a1, 0) for r in random_cohort(500, 22)]
+        records = replace(random_cohort(500, 22), y=np.zeros(500))
         w = stabilized_weights(records)
         assert w.shape == (500,) and np.all(np.isfinite(w)) and np.all(w > 0)
         with pytest.raises(EstimationError, match="separat"):
@@ -229,20 +246,21 @@ class TestFitMsm:
         # y identical to a1 drives the fitted arm probabilities onto the
         # boundary; the ratio is undefined rather than astronomically large
         rng = np.random.default_rng(14)
-        records = []
+        rows = []
         for _ in range(400):
             l0 = int(rng.random() < 0.5)
             a0 = int(rng.random() < 0.5)
             l1 = int(rng.random() < 0.5)
             a1 = int(rng.random() < 0.5)
-            records.append(CohortRecord(l0, a0, l1, a1, a1))
+            rows.append((l0, a0, l1, a1, a1))
+        records = cohort_from_rows(rows)
         w = np.ones(len(records))
         with pytest.raises(EstimationError, match="separat"):
             fit_msm(records, w)
 
     def test_constant_outcome_is_separated(self):
         # the same failure, under the same name, as analyze_cohort
-        records = [replace(r, y=0) for r in random_cohort(300, 3)]
+        records = replace(random_cohort(300, 3), y=np.zeros(300))
         with pytest.raises(EstimationError, match="separated fit"):
             fit_msm(records, stabilized_weights(records))
         with pytest.raises(EstimationError, match="separated fit"):
@@ -303,11 +321,11 @@ class TestBootstrapCi:
     def test_fragile_cohort_raises(self):
         # a single treated subject at time 0: about a third of resamples
         # lose that arm entirely, far beyond the failure budget
-        records = [CohortRecord(1, 1, 1, 1, 1)]
+        rows = [(1, 1, 1, 1, 1)]
         rng = np.random.default_rng(20)
         for _ in range(5):
-            records.append(
-                CohortRecord(
+            rows.append(
+                (
                     int(rng.random() < 0.5),
                     0,
                     int(rng.random() < 0.5),
@@ -315,6 +333,7 @@ class TestBootstrapCi:
                     int(rng.random() < 0.5),
                 )
             )
+        records = cohort_from_rows(rows)
         with pytest.raises(BootstrapFailure) as info:
             bootstrap_ci(records, replicates=200, seed=1)
         # failures are counted by reason, in status-code order

@@ -26,7 +26,7 @@ from evtv._kernels import (
     rr_cells,
     weight_cells,
 )
-from evtv.estimation import CohortRecord, cohort_arrays
+from evtv.estimation import Cohort, cohort_cells
 from evtv.simulation import SimulationParams, generate_cohort
 
 from _per_row import _chol_solve, fit_logistic, per_row_rr
@@ -56,8 +56,7 @@ def resample_counts(cells: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def bootstrap_counts(n: int, seed: int, reps: int) -> np.ndarray:
     """Cell counts of bootstrap_ci's resamples of generate_cohort(n, seed)."""
-    cohort = generate_cohort(SimulationParams(n=n), seed).records
-    cells = cell_ids(*cohort_arrays(cohort))
+    cells = cohort_cells(generate_cohort(SimulationParams(n=n), seed).observed)
     idx = [
         _rng.stream(seed, _rng.BOOTSTRAP_DOMAIN, r).integers(0, n, size=n)
         for r in range(reps)
@@ -435,7 +434,7 @@ class TestNumpyPipeline:
         rr, st, *_ = rr_cells(resample_counts(cell_ids(*arrs), idx))
         assert np.all(st == REP_OK)
         for r in range(5):
-            resample = [CohortRecord(*(int(a[k]) for a in arrs)) for k in idx[r]]
+            resample = Cohort(*(a[idx[r]] for a in arrs))
             assert rr[r] == pytest.approx(per_row_rr(resample)[0], rel=1e-12)
 
     def test_stages_compose_to_rr_cells(self):
@@ -465,7 +464,7 @@ class TestNumpyPipeline:
     def test_peak_memory_is_bounded(self):
         # 20,000 rows of n=1000 resample counts: the (R, 32) working
         # arrays exist one block at a time
-        cells = cell_ids(*cohort_arrays(generate_cohort(SimulationParams(n=1000), 7).records))
+        cells = cohort_cells(generate_cohort(SimulationParams(n=1000), 7).observed)
         freq = np.bincount(cells, minlength=N_CELLS) / cells.shape[0]
         counts = np.random.default_rng(32).multinomial(1000, freq, size=20_000).astype(np.float64)
         tracemalloc.start()

@@ -1,16 +1,18 @@
 """Property tests: E-value overflow, the trade-off curve, normalization
-symmetry, the cohort CSV round trip, and fuzzed command lines."""
+symmetry, the cohort CSV round trip and reader, and fuzzed command lines."""
 import contextlib
 import io
+import os
 import re
 import sys
+import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evtv import cli
-from evtv.estimation import CohortRecord
 from evtv.evalue import (
     ConfounderStrength,
     EffectEstimate,
@@ -20,6 +22,8 @@ from evtv.evalue import (
     tradeoff_curve,
 )
 from evtv.report import read_cohort_csv, write_cohort_csv
+
+from _per_row import cohort_from_rows, cohort_rows, read_cohort_rows
 
 
 @settings(max_examples=300, deadline=None)
@@ -62,10 +66,91 @@ def test_normalization_is_symmetric_under_inversion(x):
 _bit = st.integers(0, 1)
 
 
+_rows = st.lists(st.tuples(_bit, _bit, _bit, _bit, _bit), min_size=1, max_size=200)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.builds(CohortRecord, _bit, _bit, _bit, _bit, _bit), min_size=1, max_size=200))
-def test_cohort_csv_round_trip(records):
-    assert read_cohort_csv(io.StringIO(write_cohort_csv(records))) == records
+@given(_rows)
+def test_cohort_csv_round_trip(rows):
+    cohort = cohort_from_rows(rows)
+    assert cohort_rows(read_cohort_csv(io.StringIO(write_cohort_csv(cohort)))) == rows
+
+
+@st.composite
+def _mutated_cohort_csv(draw):
+    """write_cohort_csv text of a drawn cohort, then any of: reordered or
+    upper-cased headers, an extra column, quoted or padded cells, a bad
+    cell, a short row, a row with another delimiter, CRLF ends, a BOM, a
+    trailing blank line or no final line end."""
+    rows = draw(st.lists(st.tuples(_bit, _bit, _bit, _bit, _bit), min_size=0, max_size=30))
+    text = write_cohort_csv(cohort_from_rows(rows)) if rows else "l0,a0,l1,a1,y\n"
+    grid = [line.split(",") for line in text.splitlines()]
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(5)))
+        grid = [[line[k] for k in order] for line in grid]
+    if draw(st.booleans()):
+        grid[0] = [h.upper() if draw(st.booleans()) else h for h in grid[0]]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, 5))
+        name = draw(st.sampled_from(["site", "id", "Y2"]))
+        cell = st.sampled_from(["0", "1", "s01", "", "12", "a b"])
+        grid = [line[:at] + [name if i == 0 else draw(cell)] + line[at:]
+                for i, line in enumerate(grid)]
+    body = range(1, len(grid))
+    for wrap in ('"{}"', " {} ", "{} "):
+        if len(grid) > 1 and draw(st.booleans()):
+            for i in draw(st.sets(st.sampled_from(body), max_size=5)):
+                j = draw(st.integers(0, len(grid[i]) - 1))
+                grid[i][j] = wrap.format(grid[i][j])
+    if len(grid) > 1 and draw(st.booleans()):
+        i = draw(st.sampled_from(body))
+        grid[i][draw(st.integers(0, len(grid[i]) - 1))] = draw(
+            st.sampled_from(["2", "x", "", "01", "-1"]))
+    if len(grid) > 1 and draw(st.booleans()):
+        i = draw(st.sampled_from(body))
+        grid[i] = grid[i][:draw(st.integers(0, len(grid[i]) - 1))]
+    delimiters = [","] * len(grid)
+    if len(grid) > 1 and draw(st.booleans()):
+        delimiters[draw(st.sampled_from(body))] = draw(st.sampled_from(["-", ";", "\t"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(d.join(line) for d, line in zip(delimiters, grid)) + end
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    tail = draw(st.sampled_from(["", "blank", "unterminated"]))
+    if tail == "blank":
+        text += end
+    elif tail == "unterminated":
+        text = text[:-len(end)]
+    return text
+
+
+def _read_outcome(read, source):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = read(source)
+        except ValueError as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_cohort_csv(), st.booleans())
+def test_reader_matches_row_by_row_reference(text, from_path):
+    """The columnar reader returns the reference reader's rows, or raises
+    the same exception class with the same message, with the same
+    warnings, on canonical and mutated files, from a stream or a path."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "cohort.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        source = (lambda: path) if from_path else (lambda: io.StringIO(text))
+        got, got_warnings = _read_outcome(read_cohort_csv, source())
+        want, want_warnings = _read_outcome(read_cohort_rows, source())
+    if not isinstance(got, tuple):
+        got = cohort_rows(got)
+    assert got == want
+    assert got_warnings == want_warnings
 
 
 # values every flag may receive, well-formed or not
@@ -139,9 +224,9 @@ def _argv(draw):
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    records = [CohortRecord(i % 2, i // 2 % 2, i // 4 % 2, i // 8 % 2, i // 3 % 2)
-               for i in range(60)]
-    (root / "cohort.csv").write_text(write_cohort_csv(records), encoding="utf-8")
+    cohort = cohort_from_rows([(i % 2, i // 2 % 2, i // 4 % 2, i // 8 % 2, i // 3 % 2)
+                               for i in range(60)])
+    (root / "cohort.csv").write_text(write_cohort_csv(cohort), encoding="utf-8")
     return {"input": str(root / "cohort.csv"), "missing": str(root / "absent.csv"),
             "out": str(root / "out.txt"), "cohort": str(root / "cohort_out.csv")}
 

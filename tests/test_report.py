@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from evtv.estimation import CohortRecord, MsmResult
+from evtv.estimation import MsmResult
 from evtv.evalue import (
     EffectEstimate,
     TradeoffPoint,
@@ -25,38 +25,41 @@ from evtv.report import (
     write_report_json,
 )
 
-RECORDS = [
-    CohortRecord(0, 1, 0, 0, 1),
-    CohortRecord(1, 0, 1, 1, 0),
-    CohortRecord(1, 1, 1, 0, 1),
+from _per_row import cohort_from_rows, cohort_rows
+
+ROWS = [
+    (0, 1, 0, 0, 1),
+    (1, 0, 1, 1, 0),
+    (1, 1, 1, 0, 1),
 ]
+RECORDS = cohort_from_rows(ROWS)
 
 
 class TestCohortCsv:
     def test_round_trip(self):
         text = write_cohort_csv(RECORDS)
-        assert read_cohort_csv(io.StringIO(text)) == RECORDS
+        assert cohort_rows(read_cohort_csv(io.StringIO(text))) == ROWS
 
     def test_header_order_and_case_insensitive(self):
         text = "Y,A1,L1,A0,L0\n1,0,0,1,0\n"
-        assert read_cohort_csv(io.StringIO(text)) == [CohortRecord(0, 1, 0, 0, 1)]
+        assert cohort_rows(read_cohort_csv(io.StringIO(text))) == [(0, 1, 0, 0, 1)]
 
     def test_crlf_and_byte_order_mark(self, tmp_path):
         text = "\ufeffl0,a0,l1,a1,y\r\n1,1,0,0,1\r\n"
-        assert read_cohort_csv(io.StringIO(text)) == [CohortRecord(1, 1, 0, 0, 1)]
+        assert cohort_rows(read_cohort_csv(io.StringIO(text))) == [(1, 1, 0, 0, 1)]
         path = tmp_path / "bom.csv"
         path.write_bytes(text.encode("utf-8-sig"))
-        assert read_cohort_csv(str(path)) == [CohortRecord(1, 1, 0, 0, 1)]
+        assert cohort_rows(read_cohort_csv(str(path))) == [(1, 1, 0, 0, 1)]
 
     def test_surrounding_whitespace_tolerated(self):
         text = "l0, a0,l1,a1,y\n 1 ,0,1,0, 1\n"
-        assert read_cohort_csv(io.StringIO(text)) == [CohortRecord(1, 0, 1, 0, 1)]
+        assert cohort_rows(read_cohort_csv(io.StringIO(text))) == [(1, 0, 1, 0, 1)]
 
     def test_extra_columns_ignored_with_warning(self):
         text = "l0,a0,l1,a1,y,id\n0,0,0,0,1,s01\n"
         with pytest.warns(UserWarning, match="id"):
             records = read_cohort_csv(io.StringIO(text))
-        assert records == [CohortRecord(0, 0, 0, 0, 1)]
+        assert cohort_rows(records) == [(0, 0, 0, 0, 1)]
 
     def test_missing_columns_named(self):
         text = "l0,a0,y\n0,0,1\n"
@@ -87,7 +90,7 @@ class TestCohortCsv:
     def test_reads_from_path(self, tmp_path):
         path = tmp_path / "cohort.csv"
         path.write_text(write_cohort_csv(RECORDS), encoding="utf-8")
-        assert read_cohort_csv(str(path)) == RECORDS
+        assert cohort_rows(read_cohort_csv(str(path))) == ROWS
 
     def test_stream_left_open(self):
         stream = io.StringIO(write_cohort_csv(RECORDS))

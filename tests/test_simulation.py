@@ -18,7 +18,7 @@ from evtv.simulation import (
     true_rr_mc,
 )
 
-from _per_row import per_row_rr
+from _per_row import cohort_rows, per_row_rr
 
 # exact enumeration values for the default coefficients, computed with an
 # independent script over all 64 binary histories and frozen here
@@ -67,36 +67,37 @@ class TestGenerateCohort:
         p = SimulationParams(n=300)
         a = generate_cohort(p, 5)
         b = generate_cohort(p, 5)
-        assert a.records == b.records
+        assert cohort_rows(a.observed) == cohort_rows(b.observed)
         assert np.array_equal(a.u0, b.u0)
         assert np.array_equal(a.potential_outcomes, b.potential_outcomes)
 
     def test_seed_changes_draws(self):
         p = SimulationParams(n=300)
-        assert generate_cohort(p, 5).records != generate_cohort(p, 6).records
+        assert cohort_rows(generate_cohort(p, 5).observed) != cohort_rows(
+            generate_cohort(p, 6).observed)
 
     def test_growing_n_preserves_prefix(self):
         # each variable draws from its own stream, so earlier subjects
         # are untouched when the cohort grows
         small = generate_cohort(SimulationParams(n=200), 9)
         large = generate_cohort(SimulationParams(n=500), 9)
-        assert large.records[:200] == small.records
+        assert cohort_rows(large.observed)[:200] == cohort_rows(small.observed)
         assert np.array_equal(large.potential_outcomes[:200], small.potential_outcomes)
 
     def test_consistency_links_outcome_to_received_regime(self):
         cohort = generate_cohort(SimulationParams(n=400), 10)
-        for i, r in enumerate(cohort.records):
-            j = REGIMES.index((r.a0, r.a1))
-            assert r.y == cohort.potential_outcomes[i, j]
+        for i, (_, a0, _, a1, y) in enumerate(cohort_rows(cohort.observed)):
+            j = REGIMES.index((a0, a1))
+            assert y == cohort.potential_outcomes[i, j]
 
     def test_consistency_enforced_at_construction(self):
         cohort = generate_cohort(SimulationParams(n=10), 11)
         po = cohort.potential_outcomes.copy()
-        r0 = cohort.records[0]
-        po[0, REGIMES.index((r0.a0, r0.a1))] = 1 - r0.y
-        with pytest.raises(ValueError):
+        _, a0, _, a1, y = cohort_rows(cohort.observed)[3]
+        po[3, REGIMES.index((a0, a1))] = 1 - y
+        with pytest.raises(ValueError, match="record 3 violates consistency"):
             GeneratedCohort(
-                records=cohort.records,
+                observed=cohort.observed,
                 u0=cohort.u0,
                 u1=cohort.u1,
                 potential_outcomes=po,
@@ -112,7 +113,7 @@ class TestGenerateCohort:
     def test_marginals_track_parameters(self):
         p = SimulationParams(n=50_000, p_u0=0.25, p_l0=0.7)
         cohort = generate_cohort(p, 13)
-        l0 = np.array([r.l0 for r in cohort.records])
+        l0 = cohort.observed.l0
         assert abs(cohort.u0.mean() - 0.25) < 0.01
         assert abs(l0.mean() - 0.7) < 0.01
 
@@ -177,7 +178,7 @@ class TestTrueRrEnumerate:
 class TestAnalyzeCohort:
     @pytest.mark.parametrize("n", [60, 1000, 100_000])
     def test_point_estimate_matches_per_row_reference(self, n):
-        records = generate_cohort(SimulationParams(n=n), 7).records
+        records = generate_cohort(SimulationParams(n=n), 7).observed
         msm = analyze_cohort(records, 0, 0)[0]
         rr, p11, p00 = per_row_rr(records)
         assert msm.rr_obs == pytest.approx(rr, rel=1e-12)
@@ -207,7 +208,7 @@ class TestRunExperiment:
         a = run_experiment(SimulationParams(n=400), 5, bootstrap_replicates=150)
         b = run_experiment(SimulationParams(n=400), 5, bootstrap_replicates=150)
         assert a.msm == b.msm
-        assert a.cohort.records == b.cohort.records
+        assert cohort_rows(a.cohort.observed) == cohort_rows(b.cohort.observed)
         assert a.report == b.report
 
     def test_negative_bootstrap_rejected(self):
@@ -230,7 +231,7 @@ class TestRunReplications:
         results = run_replications(p, 7, 20)
         for i, r in enumerate(results):
             assert r.seed == _rng.child_seed(7, _rng.REPLICATION_DOMAIN, i)
-            msm = analyze_cohort(generate_cohort(p, r.seed).records, 0, 0)[0]
+            msm = analyze_cohort(generate_cohort(p, r.seed).observed, 0, 0)[0]
             assert r.rr_obs == msm.rr_obs
             assert r.weight_mean == msm.weight_mean
 
