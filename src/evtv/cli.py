@@ -164,11 +164,13 @@ def _cmd_curve(args) -> str:
     return report.write_curve(doc, args.format)
 
 
-def _parse_overrides(pairs: list[str]):
+def _parse_overrides(pairs: list[str], n: int):
+    """SimulationParams of cohort size n with the NAME=VALUE pairs applied;
+    a pair for n replaces the given size."""
     from . import simulation
 
     valid = {f.name: f for f in dataclasses.fields(simulation.SimulationParams)}
-    overrides: dict = {}
+    overrides: dict = {"n": n}
     for pair in pairs:
         name, sep, raw = pair.partition("=")
         if not sep:
@@ -193,9 +195,7 @@ def _parse_overrides(pairs: list[str]):
 def _cmd_simulate(args) -> str:
     from . import simulation
 
-    params = _parse_overrides(args.param)
-    if "n" not in {p.partition("=")[0].strip() for p in args.param}:
-        params = dataclasses.replace(params, n=args.n)
+    params = _parse_overrides(args.param, args.n)
     seed = _resolve_seed(args)
     if args.reps < 1:
         raise ValueError("--reps must be >= 1")
@@ -219,12 +219,12 @@ def _cmd_simulate(args) -> str:
 def _cmd_analyze(args) -> str:
     from . import simulation
 
-    # refuse out-of-range sizes before reading the file
+    # refuse out-of-range sizes and a bad seed before reading the file
     points = _curve_points(args)
     if args.bootstrap:
         simulation.check_replicates(args.bootstrap)
-    cohort = report.read_cohort_csv(args.input)
     seed = _resolve_seed(args)
+    cohort = report.read_cohort_csv(args.input)
     msm, rep = simulation.analyze_cohort(cohort, args.bootstrap, seed, args.timepoints, points)
     return report.write_analysis_json(msm, rep)
 

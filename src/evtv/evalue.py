@@ -317,8 +317,6 @@ def tradeoff_curve(rr_target: float, n_points: int = 200) -> list[TradeoffPoint]
     rr_target = _checked_rr(rr_target, "rr_target")
     n = check_curve_points(n_points)
     e_single = evalue_from_rr(rr_target)
-    if rr_target == 1.0:
-        return [TradeoffPoint(1.0, 1.0, 1.0, 1.0)] * n
     points = [TradeoffPoint(1.0, e_single, 1.0, rr_target)]
     step = (e_single - 1.0) / (n - 1)
     for i in range(1, n - 1):

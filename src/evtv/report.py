@@ -2,7 +2,9 @@
 as CSV or a self-contained SVG.
 
 All writers are pure functions returning text, deterministic down to the
-byte for identical inputs.  JSON numbers rely on Python's shortest
+byte for identical inputs.  A JSON document copies the fields of the
+result dataclasses in declaration order and leaves a missing (None) value
+out rather than writing null.  JSON numbers rely on Python's shortest
 round-trip float formatting, so documents parse back to exactly the
 values that were written, and NaN or infinity is refused rather than
 written as invalid JSON; two-decimal display is left to consumers.
@@ -178,120 +180,67 @@ def write_cohort_csv(cohort: Cohort) -> str:
     return ",".join(COHORT_COLUMNS) + "\n" + grid.tobytes().decode("ascii")
 
 
-def _report_payload(report: EValueReport) -> dict:
-    estimate, normalized = report.estimate, report.normalized
-    inp: dict = {"measure": estimate.measure.value, "value": estimate.value}
-    if estimate.has_ci:
-        inp["ci_lower"] = estimate.ci_lower
-        inp["ci_upper"] = estimate.ci_upper
-    inp["outcome_rare"] = estimate.outcome_rare
-    doc: dict = {
-        "input": inp,
-        "timepoints": report.timepoints,
-        "normalized_rr": normalized.rr,
-        "inverted": normalized.inverted,
-        "evalue_equal_split": report.evalue_equal_split,
-        "evalue_single": report.evalue_single_timepoint,
-    }
-    if report.ci_evalue_equal_split is not None:
-        doc["ci_evalue_equal_split"] = report.ci_evalue_equal_split
-    if report.ci_evalue_single_timepoint is not None:
-        doc["ci_evalue_single"] = report.ci_evalue_single_timepoint
-    doc["tool_version"] = __version__
-    if report.curve is not None:
-        doc["curve"] = [_point_payload(p) for p in report.curve]
-    return doc
+def _present(doc: dict) -> dict:
+    """doc less its None values."""
+    return {k: v for k, v in doc.items() if v is not None}
 
 
-def _point_payload(p: TradeoffPoint) -> dict:
-    return {
-        "strength_t0": p.strength_t0,
-        "strength_t1": p.strength_t1,
-        "b0": p.b0,
-        "b1": p.b1,
-    }
+def _fields(obj) -> dict:
+    """A result dataclass's fields in declaration order, None ones left out."""
+    return _present(vars(obj))
 
 
-def write_report_json(report: EValueReport) -> str:
-    """Emit the E-value report as stable-key-order JSON.
-
-    Absent confidence-any keys are omitted entirely, never written as
-    null, so presence encodes availability.
-    """
-    doc = _report_payload(report)
+def _dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _msm_payload(msm: MsmResult) -> dict:
+def _report_payload(report: EValueReport) -> dict:
     doc = {
-        "rr_obs": msm.rr_obs,
-        "p11": msm.p11,
-        "p00": msm.p00,
-        "weight_mean": msm.weight_mean,
-        "weight_max": msm.weight_max,
+        "input": _fields(report.estimate),
+        "timepoints": report.timepoints,
+        "normalized_rr": report.normalized.rr,
+        "inverted": report.normalized.inverted,
+        "evalue_equal_split": report.evalue_equal_split,
+        "evalue_single": report.evalue_single_timepoint,
+        "ci_evalue_equal_split": report.ci_evalue_equal_split,
+        "ci_evalue_single": report.ci_evalue_single_timepoint,
+        "tool_version": __version__,
+        "curve": None if report.curve is None else [_fields(p) for p in report.curve],
     }
-    if msm.ci_lower is not None:
-        doc["ci_lower"] = msm.ci_lower
-        doc["ci_upper"] = msm.ci_upper
-    return doc
+    return _present(doc)
 
 
-def _params_payload(p) -> dict:
-    return {
-        "p_u0": p.p_u0,
-        "p_l0": p.p_l0,
-        "p_u1": p.p_u1,
-        "a0_model": list(p.a0_model),
-        "l1_model": list(p.l1_model),
-        "a1_model": list(p.a1_model),
-        "outcome_model": list(p.outcome_model),
-        "n": p.n,
-    }
+def write_report_json(report: EValueReport) -> str:
+    """Emit the E-value report as stable-key-order JSON; without a
+    confidence interval its keys are absent, so presence encodes availability."""
+    return _dumps(_report_payload(report))
 
 
 def write_experiment_json(record) -> str:
     """Serialize one simulation experiment, including both enumeration
     conventions so the L1 convention gap stays visible."""
-    doc = {
-        "params": _params_payload(record.params),
+    return _dumps({
+        "params": _fields(record.params),
         "seed": record.seed,
         "true_rr_mc": record.true_rr_mc,
         "true_rr_enumerated": record.true_rr_enumerated,
         "true_rr_enumerated_observed_l1": record.true_rr_enumerated_observed_l1,
-        "estimate": _msm_payload(record.msm),
+        "estimate": _fields(record.msm),
         "report": _report_payload(record.report),
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    })
 
 
 def write_analysis_json(msm: MsmResult, report: EValueReport) -> str:
     """Serialize an observed-data analysis: the MSM fit plus its E-value report."""
-    doc = {
-        "estimate": _msm_payload(msm),
-        "report": _report_payload(report),
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _dumps({"estimate": _fields(msm), "report": _report_payload(report)})
 
 
 def write_replication_json(params, seed: int, results, enumerated: dict) -> str:
     """Serialize a replication study: per-replication numbers plus summaries."""
-    reps = []
-    for r in results:
-        entry: dict = {"seed": r.seed}
-        if r.true_rr_mc is not None:
-            entry["true_rr_mc"] = r.true_rr_mc
-        if r.error is None:
-            entry["rr_obs"] = r.rr_obs
-            if r.ci_lower is not None:
-                entry["ci_lower"] = r.ci_lower
-                entry["ci_upper"] = r.ci_upper
-            entry["weight_mean"] = r.weight_mean
-        else:
-            entry["error"] = r.error
-        reps.append(entry)
     ok = [r for r in results if r.error is None]
     rr_true = [r.true_rr_mc for r in results if r.true_rr_mc is not None]
     rr_obs = [r.rr_obs for r in ok]
+    # not a field copy: an undefined mean or sd is written as null
     summary = {
         "replications": len(results),
         "failures": len(results) - len(ok),
@@ -300,14 +249,13 @@ def write_replication_json(params, seed: int, results, enumerated: dict) -> str:
         "rr_obs_mean": _mean(rr_obs),
         "rr_obs_sd": _sd(rr_obs),
     }
-    doc = {
-        "params": _params_payload(params),
+    return _dumps({
+        "params": _fields(params),
         "seed": seed,
         "summary": summary,
         "enumerated": enumerated,
-        "replications_detail": reps,
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        "replications_detail": [_fields(r) for r in results],
+    })
 
 
 def _mean(values) -> Optional[float]:

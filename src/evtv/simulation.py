@@ -309,6 +309,8 @@ def run_experiment(
     seed = _rng.check_seed(seed)
     if bootstrap_replicates < 0:
         raise ValueError("bootstrap_replicates must be >= 0")
+    if bootstrap_replicates:
+        check_replicates(bootstrap_replicates)
     cohort = generate_cohort(params, seed)
     rr_true = true_rr_mc(cohort)
     msm, report = analyze_cohort(cohort.observed, bootstrap_replicates, seed)
@@ -337,6 +339,13 @@ class ReplicationResult:
     ci_upper: Optional[float] = None
     weight_mean: Optional[float] = None
     error: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # a failed replication has no estimate, so its document lists none
+        if self.error is not None and (
+            self.rr_obs, self.ci_lower, self.ci_upper, self.weight_mean
+        ) != (None, None, None, None):
+            raise ValueError("a failed replication carries no estimate")
 
 
 def run_replications(

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from evtv import cli, report
+from evtv import cli, report, simulation
 from evtv.estimation import MAX_BOOTSTRAP_REPLICATES
 from evtv.evalue import MAX_CURVE_POINTS, evalue_from_rr
 from evtv.report import read_cohort_csv
@@ -281,6 +281,19 @@ class TestSimulateCommand:
         assert code == 0
         assert err == ""
 
+    @pytest.mark.parametrize("bootstrap, message", [
+        ("50", "replicates must be >= 100, got 50"),
+        (str(MAX_BOOTSTRAP_REPLICATES + 1), "replicates must be <= MAX_BOOTSTRAP_REPLICATES"),
+    ])
+    def test_bootstrap_checked_before_drawing(self, capsys, monkeypatch, bootstrap, message):
+        def undrawn(params, seed):
+            raise AssertionError("drew a cohort before checking --bootstrap")
+
+        monkeypatch.setattr(simulation, "generate_cohort", undrawn)
+        code, out, err = run_cli(capsys, "simulate", "--n", "60", "--bootstrap", bootstrap)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
     def test_cohort_out(self, capsys, tmp_path):
         path = tmp_path / "cohort.csv"
         code, out, _ = run_cli(
@@ -413,6 +426,16 @@ class TestAnalyzeCommand:
         code, out, err = run_cli(capsys, "analyze", "--input", "cohort.csv", *argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
+
+    def test_seed_checked_before_reading(self, capsys, monkeypatch):
+        def unread(source):
+            raise AssertionError(f"read {source} before resolving the seed")
+
+        monkeypatch.setattr(report, "read_cohort_csv", unread)
+        monkeypatch.setenv("EVTV_SEED", "x")
+        code, out, err = run_cli(capsys, "analyze", "--input", "absent.csv", "--bootstrap", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: EVTV_SEED must be an integer, got 'x'")
 
 
 class TestTopLevel:

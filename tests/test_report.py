@@ -1,9 +1,11 @@
 """Tests for CSV parsing, JSON reports, and curve rendering."""
+import dataclasses
 import io
 import json
 
 import pytest
 
+from evtv import __version__
 from evtv.estimation import MsmResult
 from evtv.evalue import (
     EffectEstimate,
@@ -22,8 +24,11 @@ from evtv.report import (
     write_analysis_json,
     write_cohort_csv,
     write_curve,
+    write_experiment_json,
+    write_replication_json,
     write_report_json,
 )
+from evtv.simulation import ReplicationResult, SimulationParams, run_experiment
 
 from _per_row import cohort_from_rows, cohort_rows
 
@@ -173,6 +178,106 @@ class TestReportJson:
             "ci_upper",
         ]
         assert doc["estimate"]["rr_obs"] == pytest.approx(2.0, rel=1e-12)
+
+
+def _dumped(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+PARAMS_KEYS = ["p_u0", "p_l0", "p_u1", "a0_model", "l1_model", "a1_model", "outcome_model", "n"]
+
+
+class TestDocumentShapes:
+    """The experiment and replication documents, byte for byte, against
+    documents whose keys are written out here: key order, tuples as
+    lists, and a missing value left out, never written as null."""
+
+    @pytest.mark.parametrize("bootstrap", [0, 100])
+    def test_experiment_json(self, bootstrap):
+        rec = run_experiment(SimulationParams(n=200), 3, bootstrap)
+        msm, rep = rec.msm, rec.report
+        estimate = {"rr_obs": msm.rr_obs, "p11": msm.p11, "p00": msm.p00,
+                    "weight_mean": msm.weight_mean, "weight_max": msm.weight_max}
+        inp = {"measure": "rr", "value": msm.rr_obs}
+        report = {"timepoints": 2, "normalized_rr": rep.normalized.rr,
+                  "inverted": rep.normalized.inverted,
+                  "evalue_equal_split": rep.evalue_equal_split,
+                  "evalue_single": rep.evalue_single_timepoint}
+        if bootstrap:
+            estimate.update(ci_lower=msm.ci_lower, ci_upper=msm.ci_upper)
+            inp.update(ci_lower=msm.ci_lower, ci_upper=msm.ci_upper)
+            report.update(ci_evalue_equal_split=rep.ci_evalue_equal_split,
+                          ci_evalue_single=rep.ci_evalue_single_timepoint)
+        inp["outcome_rare"] = False
+        expected = {
+            "params": {k: getattr(rec.params, k) for k in PARAMS_KEYS},
+            "seed": 3,
+            "true_rr_mc": rec.true_rr_mc,
+            "true_rr_enumerated": rec.true_rr_enumerated,
+            "true_rr_enumerated_observed_l1": rec.true_rr_enumerated_observed_l1,
+            "estimate": estimate,
+            "report": {"input": inp, **report, "tool_version": __version__},
+        }
+        assert write_experiment_json(rec) == _dumped(expected)
+
+    def test_replication_json(self):
+        results = [
+            ReplicationResult(seed=11, true_rr_mc=1.5, rr_obs=1.25, ci_lower=1.0,
+                              ci_upper=1.75, weight_mean=1.0),
+            ReplicationResult(seed=12, true_rr_mc=1.5, rr_obs=1.75, weight_mean=0.875),
+            ReplicationResult(seed=13, true_rr_mc=2.0, error="positivity violated"),
+            ReplicationResult(seed=14, error="true risk ratio undefined"),
+        ]
+        enumerated = {"true_rr_enumerated": 1.5, "true_rr_enumerated_observed_l1": 1.625}
+        m = 5.0 / 3.0
+        expected = {
+            "params": {"p_u0": 0.25, "p_l0": 0.65, "p_u1": 0.7, "a0_model": [-0.8, 1.2, 1.0],
+                       "l1_model": [-0.2, 0.8, 0.9], "a1_model": [-1.2, 1.0, 1.2, 0.8],
+                       "outcome_model": [-0.5, 1.0, 1.2, 0.7, 0.8, 0.4, -0.7, -0.8],
+                       "n": 40},
+            "seed": 9,
+            "summary": {"replications": 4, "failures": 2, "true_rr_mc_mean": m,
+                        "true_rr_mc_sd": (((1.5 - m) ** 2 + (1.5 - m) ** 2
+                                           + (2.0 - m) ** 2) / 2) ** 0.5,
+                        "rr_obs_mean": 1.5, "rr_obs_sd": 0.125 ** 0.5},
+            "enumerated": enumerated,
+            "replications_detail": [
+                {"seed": 11, "true_rr_mc": 1.5, "rr_obs": 1.25, "ci_lower": 1.0,
+                 "ci_upper": 1.75, "weight_mean": 1.0},
+                {"seed": 12, "true_rr_mc": 1.5, "rr_obs": 1.75, "weight_mean": 0.875},
+                {"seed": 13, "true_rr_mc": 2.0, "error": "positivity violated"},
+                {"seed": 14, "error": "true risk ratio undefined"},
+            ],
+        }
+        text = write_replication_json(SimulationParams(p_u0=0.25, n=40), 9, results, enumerated)
+        assert text == _dumped(expected)
+
+    def test_replication_summary_keeps_nulls(self):
+        # the summary is not a field copy: an undefined mean or sd is null
+        results = [ReplicationResult(seed=5, error="true risk ratio undefined")]
+        doc = json.loads(write_replication_json(SimulationParams(), 1, results, {}))
+        assert doc["summary"] == {
+            "replications": 1, "failures": 1, "true_rr_mc_mean": None,
+            "true_rr_mc_sd": None, "rr_obs_mean": None, "rr_obs_sd": None,
+        }
+        assert doc["replications_detail"] == [{"seed": 5, "error": "true risk ratio undefined"}]
+
+    @pytest.mark.parametrize("field", ["rr_obs", "ci_lower", "ci_upper", "weight_mean"])
+    def test_failed_replication_has_no_estimate(self, field):
+        # the document copies every field, so the class keeps a failed
+        # replication's estimate out
+        with pytest.raises(ValueError, match="carries no estimate"):
+            ReplicationResult(seed=5, error="positivity violated", **{field: 1.0})
+
+    @pytest.mark.parametrize("obj", [
+        SimulationParams(),
+        MsmResult(rr_obs=2.0, p11=0.8, p00=0.4, weight_mean=1.0, weight_max=2.0),
+        EffectEstimate(measure="OR", value=0.8, ci_lower=0.6, ci_upper=1.2),
+        TradeoffPoint(1.0, 2.0, 1.0, 1.5),
+        ReplicationResult(seed=3, true_rr_mc=1.2, error="x"),
+    ], ids=lambda obj: type(obj).__name__)
+    def test_instance_dict_holds_exactly_the_fields_in_order(self, obj):
+        assert list(vars(obj)) == [f.name for f in dataclasses.fields(obj)]
 
 
 class TestCurveDocument:

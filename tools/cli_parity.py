@@ -28,12 +28,17 @@ COMMANDS = [
     "evalue --measure rr --value 1.73 --lo 1.52 --hi 1.98 --timepoints 2 --human",
     "evalue --measure or --value 1.38 --lo 1.07 --hi 1.77 --rare --timepoints 2",
     "evalue --measure rr --value 1.73 --timepoints 2 --curve 40",
+    "evalue --measure or --value 0.8 --lo 0.6 --hi 1.2 --timepoints 2 --curve 5",
+    "evalue --measure rr --value 1 --timepoints 2 --curve 5",
     "convert --measure or --value 1.38 --lo 1.07 --hi 1.77",
     "curve --rr 1.73 --points 200 --format svg",
     "curve --rr 1.73 --limit 1.52 --format csv",
+    "curve --rr 1 --points 7",
     "simulate --n 1000 --seed 7 --cohort-out c.csv",
     "simulate --reps 200 --bootstrap 0 --seed 12345",
     "simulate --reps 3 --bootstrap 100 --seed 5",
+    "simulate --reps 100 --n 40 --bootstrap 0 --seed 2",
+    "simulate --reps 20 --n 150 --bootstrap 100 --seed 4",
     "simulate --param p_u0=0.25 --param a1_model=-1.2,1.0,1.2,0",
     "analyze --input c.csv --bootstrap 1000 --seed 3 --curve 40",
     "simulate --n 100000 --bootstrap 0 --seed 11 --cohort-out big.csv",
