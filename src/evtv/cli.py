@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -30,7 +31,15 @@ from .evalue import (
 _SEED_ENV = "EVTV_SEED"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `evtv` argument parser, built once per process and shared by
+    every `main` call; callers must not mutate it.
+
+    Sharing is safe because argparse keeps no state between parses: each
+    `parse_args` fills a new namespace, `--param` appends to a copy of its
+    `[]` default, and usage, help and version text go to the `sys.stdout`
+    or `sys.stderr` of the moment they are printed."""
     parser = argparse.ArgumentParser(
         prog="evtv",
         description="E-value sensitivity analysis for treatments at multiple time points",
@@ -247,6 +256,11 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one `evtv` command line (default `sys.argv[1:]`) and return its
+    exit code: 0 success, 2 invalid input, 3 estimation failure.
+
+    May be called repeatedly in one process; each call parses with the
+    shared parser and writes to the current `sys.stdout` and `sys.stderr`."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

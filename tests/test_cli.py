@@ -1,4 +1,6 @@
 """Tests for the command-line interface."""
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -450,6 +452,59 @@ class TestTopLevel:
     def test_version_exits_0(self, capsys):
         assert cli.main(["--version"]) == 0
         assert "evtv" in capsys.readouterr().out
+
+
+def run_fresh(*argv: str) -> tuple[int, str, str]:
+    """The command run by `python -m evtv.cli` in a new interpreter, which
+    builds its own parser, with EVTV_SEED unset."""
+    env = {k: v for k, v in os.environ.items() if k != "EVTV_SEED"}
+    proc = subprocess.run([sys.executable, "-m", "evtv.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestSharedParser:
+    """`main` parses every call with one parser per process, so no call may
+    leave state in it that shows in a later call's output."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_param_does_not_accumulate(self, capsys, monkeypatch):
+        monkeypatch.delenv("EVTV_SEED", raising=False)
+        argv = ("simulate", "--n", "60", "--bootstrap", "0")
+        overridden = run_cli(capsys, *argv, "--param", "p_u0=0.25")
+        plain = run_cli(capsys, *argv)
+        assert overridden[0] == 0
+        assert overridden[1] != plain[1]
+        assert plain == run_fresh(*argv)
+        assert cli.build_parser().parse_args(["simulate"]).param == []
+
+    def test_rare_and_limits_do_not_carry_over(self, capsys):
+        argv = ("evalue", "--measure", "or", "--value", "1.38", "--timepoints", "2")
+        run_cli(capsys, *argv, "--rare", "--lo", "1.07", "--hi", "1.77")
+        code, out, err = run_cli(capsys, *argv)
+        doc = json.loads(out)
+        assert doc["input"] == {"measure": "or", "value": 1.38, "outcome_rare": False}
+        assert not {"ci_evalue_equal_split", "ci_evalue_single"} & doc.keys()
+        assert (code, out, err) == run_fresh(*argv)
+
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["--version"], 0, "out", "evtv "),
+        (["evalue", "--measure", "xx", "--value", "1", "--timepoints", "2"], 2, "err",
+         "evtv evalue: error: argument --measure: invalid choice: 'xx'"),
+    ])
+    def test_argparse_output_follows_current_streams(self, capsys, argv, code, stream, text):
+        """argparse's version and usage text go to the streams of the call
+        that prints them, not to those of the call that built the parser."""
+        assert cli.main(argv) == code
+        first = capsys.readouterr()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(argv) == code
+        assert (out.getvalue(), err.getvalue()) == (first.out, first.err)
+        assert text in getattr(first, stream)
+        assert capsys.readouterr() == ("", "")
 
 
 class TestSizeCaps:

@@ -158,6 +158,9 @@ _ANY = ["inf", "-inf", "nan", "1e-320", "1e300", "-1e300", "-1", "-2.5", "0", "a
 _FLOATS = _ANY + ["0.5", "1", "1.38", "1.73", "2"]
 # sizes stay small enough that no example allocates much
 _SMALL_INTS = _ANY + ["1", "2", "3"]
+# model coefficients, with logits of +-1e3: one below about -709 overflows the
+# math.exp of the true-risk-ratio enumeration
+_COEFFS = _FLOATS + ["1e3", "-1e3"]
 _FLAGS = {
     "evalue": {
         "--measure": ["rr", "or", "hr", "xx"], "--value": _FLOATS, "--lo": _FLOATS,
@@ -204,7 +207,7 @@ def _argv(draw):
             spec = _PARAMS[name]
             if isinstance(spec, int):
                 width = draw(st.sampled_from([spec, spec - 1]))
-                value = ",".join(draw(st.lists(st.sampled_from(_FLOATS), min_size=width,
+                value = ",".join(draw(st.lists(st.sampled_from(_COEFFS), min_size=width,
                                                max_size=width)))
             else:
                 value = draw(st.sampled_from(spec))
@@ -236,6 +239,8 @@ def paths(tmp_path_factory):
 @example(argv=["simulate", "--param", "l1_model=-1e300,0,0", "--n", "60", "--bootstrap", "0"])
 @example(argv=["simulate", "--param", "outcome_model=0,0,0,0,-1e300,0,0,0", "--reps", "2",
                "--n", "60", "--bootstrap", "0"])
+@example(argv=["simulate", "--n", "60", "--reps", "2", "--bootstrap", "0",
+               "--param", "outcome_model=0,0,0,0,-1e3,0,0,0"])
 def test_fuzzed_command_lines_exit_cleanly(paths, argv):
     argv = [a.format(**paths) for a in argv]
     open(paths["out"], "w").close()

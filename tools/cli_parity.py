@@ -2,9 +2,10 @@
 
 Runs a fixed list of commands, each in a fresh interpreter, against the
 `src/` of each checkout and compares exit code, stdout, stderr and the
-`--cohort-out` CSV.  Fresh processes matter: a warning raised while a
-module is first imported inside a command would add a stderr line that
-an in-process test, with everything already loaded, cannot see.
+`--cohort-out` CSV, argparse's version and usage-error text included.
+Fresh processes matter: a warning raised while a module is first
+imported inside a command would add a stderr line that an in-process
+test, with everything already loaded, cannot see.
 
 The `analyze` commands cover both ways the cohort reader parses a body:
 files in the writer's layout (`simulate --cohort-out`, n = 1000 and
@@ -25,6 +26,11 @@ import tempfile
 from pathlib import Path
 
 COMMANDS = [
+    # argparse's own output: version text, usage errors (exit 2)
+    "--version",
+    "evalue --measure xx --value 1 --timepoints 2",
+    "evalue --measure rr --timepoints 2",
+    "curve --rr 1.73 --format png",
     "evalue --measure rr --value 1.73 --lo 1.52 --hi 1.98 --timepoints 2 --human",
     "evalue --measure or --value 1.38 --lo 1.07 --hi 1.77 --rare --timepoints 2",
     "evalue --measure rr --value 1.73 --timepoints 2 --curve 40",
