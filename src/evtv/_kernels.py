@@ -156,20 +156,12 @@ def fit_batched(x, y, w, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
     eta = np.zeros(w.shape)
     ll = _loglik(w, y, eta)
 
-    def finish(mask, it, gmax, code):
-        done = live[mask]
-        beta_out[done] = beta[mask]
-        iters[done] = it
-        gmax_out[done] = gmax[mask]
-        status[done] = code
-
     for it in range(max_iter):
         if live.size == 0:
             break
         mu = _expit(eta)
         grad = _gram(w * (y - mu), x)
         gmax = np.max(np.abs(grad), axis=1)
-        converged = gmax < tol
         curv = w * mu * (1.0 - mu)
         hess = np.empty((live.size, d, d))
         for i in range(d):
@@ -177,12 +169,12 @@ def fit_batched(x, y, w, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
                 hess[:, i, j] = hess[:, j, i] = np.sum(curv * (x[:, i] * x[:, j]), axis=1)
         del mu, curv  # free two (R, m) arrays before the step-halving peak
         step, solved = _chol_solve_batched(hess, grad)
-        singular = ~converged & ~solved
-        # step-halving: every pending replicate tries scales 1, 1/2, ...
-        cand = beta.copy()
-        cand_eta = eta.copy()
-        cand_ll = ll.copy()
-        pending = np.flatnonzero(~converged & solved)
+        # each row's stop code if it takes no step: FIT_MAXITER means out
+        # of halvings, and -1 marks a row that took one and stays live
+        stop = np.select([gmax < tol, ~solved], [FIT_CONVERGED, FIT_SINGULAR], FIT_MAXITER)
+        # step-halving: every pending replicate tries scales 1, 1/2, ...;
+        # an accepted trial replaces its row's iterate in place
+        pending = np.flatnonzero(stop == FIT_MAXITER)
         scale = 1.0
         for _ in range(30):
             if pending.size == 0:
@@ -193,19 +185,16 @@ def fit_batched(x, y, w, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
             ref = ll[pending]
             accept = lp >= ref - 1e-12 * (1.0 + np.abs(ref))
             took = pending[accept]
-            cand[took] = b[accept]
-            cand_eta[took] = e[accept]
-            cand_ll[took] = lp[accept]
+            beta[took], eta[took], ll[took] = b[accept], e[accept], lp[accept]
+            stop[took] = -1
             pending = pending[~accept]
             scale *= 0.5
-        stuck = np.zeros(live.size, dtype=bool)
-        stuck[pending] = True
-        finish(converged, it, gmax, FIT_CONVERGED)
-        finish(singular, it, gmax, FIT_SINGULAR)
-        finish(stuck, it, gmax, FIT_MAXITER)
-        keep = ~(converged | singular | stuck)
-        live = live[keep]
-        beta, eta, ll, w = cand[keep], cand_eta[keep], cand_ll[keep], w[keep]
+        done = stop >= 0
+        out = live[done]
+        beta_out[out], gmax_out[out], status[out] = beta[done], gmax[done], stop[done]
+        iters[out] = it
+        keep = ~done
+        live, beta, eta, ll, w = live[keep], beta[keep], eta[keep], ll[keep], w[keep]
 
     if live.size:
         gmax = np.max(np.abs(_gram(w * (y - _expit(eta)), x)), axis=1)
@@ -239,13 +228,13 @@ def weight_cells(counts):
         pd0a, pn0a, pd1a, pn1a = (_prob(f[0], *m) for f, m in zip(fits, _TREATMENT_MODELS))
         sw_live = (pn0a / pd0a) * (pn1a / pd1a)
     fit_status = np.array([f[3] for f in fits])
-    # statuses are written lowest priority first, so the first check listed above wins
-    st = np.where(np.any(fit_status == FIT_MAXITER, axis=0), REP_NOT_CONVERGED, REP_OK)
     floor = np.where(cl > 0.0, np.minimum(pd0a, pd1a), np.inf).min(axis=1, initial=np.inf)
-    st[floor < POSITIVITY_FLOOR] = REP_POSITIVITY
-    separated = np.any([np.max(np.abs(f[0]), axis=1) > SEPARATION_BOUND for f in fits], axis=0)
-    st[separated] = REP_SEPARATED
-    st[np.any(fit_status == FIT_SINGULAR, axis=0)] = REP_SINGULAR
+    st = np.select([
+        np.any(fit_status == FIT_SINGULAR, axis=0),
+        np.any([np.max(np.abs(f[0]), axis=1) > SEPARATION_BOUND for f in fits], axis=0),
+        floor < POSITIVITY_FLOOR,
+        np.any(fit_status == FIT_MAXITER, axis=0),
+    ], [REP_SINGULAR, REP_SEPARATED, REP_POSITIVITY, REP_NOT_CONVERGED], REP_OK)
     status = np.full(c.shape[0], REP_ARM_MISSING)
     status[live] = st
     sw = np.full(c.shape, np.nan)
@@ -271,13 +260,14 @@ def outcome_cells(weights):
     with np.errstate(over="ignore"):
         p11 = expit(bm[:, 0] + bm[:, 1] + bm[:, 2])
         p00 = expit(bm[:, 0])
-    # statuses are written lowest priority first, so the first check listed above wins
-    status = np.where(st == FIT_MAXITER, REP_NOT_CONVERGED, REP_OK)
     lo, hi = np.minimum(p00, p11), np.maximum(p00, p11)
-    status[(lo < BOUNDARY_FLOOR) | (hi > 1.0 - BOUNDARY_FLOOR)] = REP_DEGENERATE
-    status[np.max(np.abs(bm), axis=1) > SEPARATION_BOUND] = REP_SEPARATED
-    status[st == FIT_SINGULAR] = REP_SINGULAR
-    status[_constant_outcome(np.asarray(weights))] = REP_SEPARATED
+    status = np.select([
+        _constant_outcome(np.asarray(weights)),
+        st == FIT_SINGULAR,
+        np.max(np.abs(bm), axis=1) > SEPARATION_BOUND,
+        (lo < BOUNDARY_FLOOR) | (hi > 1.0 - BOUNDARY_FLOOR),
+        st == FIT_MAXITER,
+    ], [REP_SEPARATED, REP_SINGULAR, REP_SEPARATED, REP_DEGENERATE, REP_NOT_CONVERGED], REP_OK)
     p11[status > REP_NOT_CONVERGED] = np.nan
     p00[status > REP_NOT_CONVERGED] = np.nan
     return p11, p00, status

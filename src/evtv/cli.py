@@ -23,7 +23,9 @@ from .errors import EstimationError
 from .evalue import (
     EffectEstimate,
     build_report,
+    check_curve_limit,
     check_curve_points,
+    check_timepoints,
     normalize_estimate,
     tradeoff_curve,
 )
@@ -165,6 +167,7 @@ def _cmd_convert(args) -> str:
 
 def _cmd_curve(args) -> str:
     if args.limit is not None:
+        check_curve_limit(args.rr, args.limit)
         target, label = args.limit, "ci_limit"
     else:
         target, label = args.rr, "point_estimate"
@@ -226,13 +229,14 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_analyze(args) -> str:
-    from . import simulation
+    from . import _rng, simulation
 
-    # refuse out-of-range sizes and a bad seed before reading the file
+    # refuse out-of-range sizes, time points and a bad seed before reading the file
+    check_timepoints(args.timepoints)
     points = _curve_points(args)
     if args.bootstrap:
         simulation.check_replicates(args.bootstrap)
-    seed = _resolve_seed(args)
+    seed = _rng.check_seed(_resolve_seed(args))
     cohort = report.read_cohort_csv(args.input)
     msm, rep = simulation.analyze_cohort(cohort, args.bootstrap, seed, args.timepoints, points)
     return report.write_analysis_json(msm, rep)

@@ -276,12 +276,7 @@ def equal_split_evalue(rr: float, timepoints: int) -> float:
     needs to reach rr**(1/T).
     """
     rr = _checked_rr(rr)
-    t = int(timepoints)
-    if t < 1:
-        raise ValueError(f"timepoints must be >= 1, got {timepoints!r}")
-    if t == 1:
-        return evalue_from_rr(rr)
-    return evalue_from_rr(rr ** (1.0 / t))
+    return evalue_from_rr(rr ** (1.0 / check_timepoints(timepoints)))
 
 
 def residual_evalue(rr_obs: float, b0: Union[BiasFactor, float]) -> float:
@@ -302,6 +297,24 @@ def residual_evalue(rr_obs: float, b0: Union[BiasFactor, float]) -> float:
 def check_curve_points(n_points: int) -> int:
     """A curve grid size as an int, from 2 to MAX_CURVE_POINTS."""
     return check_size(n_points, "n_points", 2, "MAX_CURVE_POINTS", MAX_CURVE_POINTS)
+
+
+def check_curve_limit(rr: float, limit: float) -> None:
+    """Refuse a risk ratio that tradeoff_curve refuses as its target (nan,
+    below 1, an E-value that overflows), or a confidence limit above it
+    by more than the relative band NormalizedEstimate allows."""
+    rr = _checked_rr(rr, "rr_target")
+    evalue_from_rr(rr)
+    if float(limit) > rr * (1.0 + _NULL_EPS):
+        raise ValueError(f"limit {limit!r} is above the risk ratio {rr!r}")
+
+
+def check_timepoints(timepoints: int) -> int:
+    """A number of time points as an int, at least 1."""
+    t = int(timepoints)
+    if t < 1:
+        raise ValueError(f"timepoints must be >= 1, got {timepoints!r}")
+    return t
 
 
 def tradeoff_curve(rr_target: float, n_points: int = 200) -> list[TradeoffPoint]:
@@ -425,9 +438,7 @@ def build_report(
     curve_points >= 2; for T >= 3 only the equal-split and
     single-timepoint summaries are reported.
     """
-    t = int(timepoints)
-    if t < 1:
-        raise ValueError(f"timepoints must be >= 1, got {timepoints!r}")
+    t = check_timepoints(timepoints)
     n = normalize_estimate(e)
     equal = equal_split_evalue(n.rr, t)
     single = evalue_from_rr(n.rr)

@@ -11,7 +11,7 @@ import pytest
 
 from evtv import cli, report, simulation
 from evtv.estimation import MAX_BOOTSTRAP_REPLICATES
-from evtv.evalue import MAX_CURVE_POINTS, evalue_from_rr
+from evtv.evalue import MAX_CURVE_POINTS, NormalizedEstimate, evalue_from_rr
 from evtv.report import read_cohort_csv
 from evtv.simulation import MAX_COHORT_SIZE, MAX_REPLICATIONS
 
@@ -203,6 +203,31 @@ class TestCurveCommand:
     def test_too_few_points_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--rr", "1.73", "--points", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("rr, limit, message", [
+        ("-1", "1.5", "rr_target must be >= 1"),
+        ("nan", "1.5", "rr_target must be a number, got nan"),
+        ("1e300", "1.5", "its E-value overflows a float"),
+        ("1.2", "5", "limit 5.0 is above the risk ratio 1.2"),
+    ])
+    def test_limit_needs_a_valid_rr_above_it(self, capsys, rr, limit, message):
+        code, out, err = run_cli(capsys, "curve", "--rr", rr, "--limit", limit)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+        if rr != "1.2":  # the same refusal as without --limit
+            assert run_cli(capsys, "curve", "--rr", rr)[0] == 2
+
+    @pytest.mark.parametrize("excess", [0.0, 1e-13, 9e-13, 2e-12, 1e-9])
+    def test_limit_tolerance_is_the_normalized_estimates(self, capsys, excess):
+        limit = 1.2 * (1.0 + excess)
+        try:
+            NormalizedEstimate(rr=1.2, ci_limit_rr=limit, inverted=False, ci_crosses_null=False)
+            want = 0
+        except ValueError:
+            want = 2
+        code, _, _ = run_cli(capsys, "curve", "--rr", "1.2", "--limit", repr(limit),
+                             "--points", "3")
+        assert code == want
 
 
 class TestSimulateCommand:
@@ -419,6 +444,12 @@ class TestAnalyzeCommand:
         (["--bootstrap", "50"], "replicates must be >= 100, got 50"),
         (["--bootstrap", str(MAX_BOOTSTRAP_REPLICATES + 1)],
          "replicates must be <= MAX_BOOTSTRAP_REPLICATES"),
+        (["--timepoints", "0"], "timepoints must be >= 1, got 0"),
+        (["--timepoints", "0", "--curve", "5"], "timepoints must be >= 1, got 0"),
+        (["--bootstrap", "0", "--seed", "-1"],
+         "seed must fit in an unsigned 64-bit integer, got -1"),
+        (["--bootstrap", "100", "--seed", str(2**64)],
+         f"seed must fit in an unsigned 64-bit integer, got {2**64}"),
     ])
     def test_sizes_checked_before_reading(self, capsys, monkeypatch, argv, message):
         def unread(source):
@@ -438,6 +469,16 @@ class TestAnalyzeCommand:
         code, out, err = run_cli(capsys, "analyze", "--input", "absent.csv", "--bootstrap", "0")
         assert (code, out) == (2, "")
         assert err.startswith("error: EVTV_SEED must be an integer, got 'x'")
+
+    def test_env_seed_range_checked_without_bootstrap(self, capsys, monkeypatch):
+        def unread(source):
+            raise AssertionError(f"read {source} before checking the seed")
+
+        monkeypatch.setattr(report, "read_cohort_csv", unread)
+        monkeypatch.setenv("EVTV_SEED", "-1")
+        code, out, err = run_cli(capsys, "analyze", "--input", "absent.csv", "--bootstrap", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: seed must fit in an unsigned 64-bit integer, got -1")
 
 
 class TestTopLevel:

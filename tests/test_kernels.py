@@ -392,6 +392,28 @@ class TestFitBatched:
         assert status[0] == FIT_CONVERGED
         assert np.abs(beta[1]).max() > _kernels.SEPARATION_BOUND
 
+    @pytest.mark.parametrize("max_iter", [1, 2, _kernels.FIT_MAX_ITER])
+    def test_rows_stopping_together_are_each_written_as_fitted_alone(self, max_iter):
+        # four rows stop in iteration 0: row 0 converged (zero gradient at
+        # beta = 0), row 1 singular (its weights leave the slope
+        # unidentified), row 2 out of halvings (a NaN weight makes every
+        # trial likelihood NaN) and row 3, with no weight, converged (a zero
+        # gradient wins over a singular Hessian); row 4 steps on until it
+        # converges or reaches max_iter
+        x = np.column_stack([np.ones(4), [0.0, 1.0, 0.0, 1.0]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        w = np.array([[1.0, 1.0, 1.0, 1.0], [2.0, 0.0, 1.0, 0.0], [1.0, np.nan, 1.0, 1.0],
+                      [0.0, 0.0, 0.0, 0.0], [5.0, 3.0, 2.0, 6.0]])
+        batch = fit_batched(x, y, w, max_iter=max_iter)
+        status, iterations = batch[3], batch[1]
+        assert list(status[:4]) == [FIT_CONVERGED, FIT_SINGULAR, FIT_MAXITER, FIT_CONVERGED]
+        assert list(iterations[:4]) == [0, 0, 0, 0]
+        assert (iterations[4], status[4]) == ((max_iter, FIT_MAXITER) if max_iter < 4
+                                              else (4, FIT_CONVERGED))
+        for r in range(5):
+            for got, want in zip(batch, fit_one(x, y, w[r], max_iter=max_iter)):
+                assert np.array_equal(got[r], want, equal_nan=True), r
+
     def test_empty_batch(self):
         beta, iterations, gmax, status = fit_batched(np.ones((3, 1)), np.ones(3), np.ones((0, 3)))
         assert beta.shape == (0, 1) and iterations.shape == gmax.shape == status.shape == (0,)

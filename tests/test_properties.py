@@ -224,6 +224,22 @@ def _argv(draw):
     return argv
 
 
+def _must_exit_2(argv) -> bool:
+    """Whether the exit-code contract requires exit 2, for the inputs that
+    can be classified without evtv: a curve whose last --rr parses to nan
+    or below 1, and a simulate or analyze whose last --seed is -1."""
+    def last(flag):
+        values = [v for f, v in zip(argv, argv[1:]) if f == flag]
+        return values[-1] if values else None
+
+    if argv[0] == "curve":
+        try:
+            return not float(last("--rr")) >= 1.0
+        except (TypeError, ValueError):
+            return False
+    return argv[0] in ("simulate", "analyze") and last("--seed") == "-1"
+
+
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
@@ -241,6 +257,9 @@ def paths(tmp_path_factory):
                "--n", "60", "--bootstrap", "0"])
 @example(argv=["simulate", "--n", "60", "--reps", "2", "--bootstrap", "0",
                "--param", "outcome_model=0,0,0,0,-1e3,0,0,0"])
+@example(argv=["curve", "--rr", "nan", "--limit", "1.5", "--points", "9"])
+@example(argv=["curve", "--rr", "0.5", "--limit", "2", "--rr", "-1", "--points", "9"])
+@example(argv=["analyze", "--input", "{input}", "--bootstrap", "0", "--seed", "-1"])
 def test_fuzzed_command_lines_exit_cleanly(paths, argv):
     argv = [a.format(**paths) for a in argv]
     open(paths["out"], "w").close()
@@ -248,6 +267,8 @@ def test_fuzzed_command_lines_exit_cleanly(paths, argv):
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
     assert code in (0, 2, 3), (argv, stderr.getvalue())
+    if _must_exit_2(argv):
+        assert code == 2, (argv, stderr.getvalue())
     if code == 0:
         with open(paths["out"], encoding="utf-8") as fh:
             written = stdout.getvalue() + fh.read()
