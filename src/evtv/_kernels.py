@@ -10,8 +10,14 @@ histories (l0, a0, l1, a1, y), so all five models of the weight-and-fit
 pipeline depend on a cohort only through its 32 cell counts.
 `rr_cells` runs that pipeline on an (R, 32) array of counts, one cohort
 or bootstrap replicate per row, in two stages (`weight_cells`,
-`outcome_cells`) of one `fit_batched` call per model, over blocks of
-BLOCK_ROWS rows.  Each row's result depends only on that row.
+`outcome_cells`) over blocks of BLOCK_ROWS rows.  A model sees the cells
+only through their (design row, response) pairs: the four treatment
+models have 4, 2, 16 and 4 distinct pairs and the outcome model 8.  So
+each model is one `fit_batched` call on those groups, weighted by the
+total count (or outcome-model cell weight) of each group's cells, the
+grouped binomial likelihood whose sufficient statistics these totals
+are.  Fitted probabilities and every status rule stay on the 32 cells.
+Each row's result depends only on that row.
 """
 from __future__ import annotations
 
@@ -51,6 +57,21 @@ _X_N1 = np.column_stack([_ONE, _A0])
 _X_M = np.column_stack([_ONE, _A0, _A1])
 # (design, treatment) of the denominator and numerator models at each time
 _TREATMENT_MODELS = ((_X_D0, _A0), (_X_N0, _A0), (_X_D1, _A1), (_X_N1, _A1))
+
+
+def _groups(x, y):
+    # the distinct (design row, response) pairs of a 0/1 design over the
+    # 32 cells: (cells (k, g), design (g, d), response (g,)), where group
+    # j holds cells[:, j].  Every group has the same k = 32 / g cells,
+    # since the cell bits a model does not read take every value.
+    key = np.sum(np.column_stack([x, y]).astype(np.int64) << np.arange(x.shape[1] + 1), axis=1)
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    return order.reshape(first.size, -1).T, x[order[first]], y[order[first]]
+
+
+_TREATMENT_GROUPS = tuple(_groups(x, arm) for x, arm in _TREATMENT_MODELS)
+_MSM_GROUPS = _groups(_X_M, _Y)
 
 
 def cell_ids(l0, a0, l1, a1, y) -> np.ndarray:
@@ -204,6 +225,17 @@ def fit_batched(x, y, w, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
     return beta_out, iters, gmax_out, status
 
 
+def _fit_groups(groups, w):
+    # fit_batched on the total weight of each group, w (R, 32): members
+    # added one at a time in a fixed order, not by a matrix product, so a
+    # row's totals do not depend on the rest of the batch
+    cells, x, y = groups
+    total = w[:, cells[0]]
+    for more in cells[1:]:
+        total = total + w[:, more]
+    return fit_batched(x, y, total)
+
+
 def _prob(beta, x, arm):
     # fitted probability of the treatment each cell received
     p = expit(_linear(beta, x))
@@ -223,7 +255,7 @@ def weight_cells(counts):
     treated = np.stack([c[:, _A0 == 1.0].sum(axis=1), c[:, _A1 == 1.0].sum(axis=1)])
     live = np.flatnonzero(np.all((treated > 0.0) & (treated < n), axis=0))
     cl = c[live]
-    fits = [fit_batched(x, arm, cl) for x, arm in _TREATMENT_MODELS]
+    fits = [_fit_groups(g, cl) for g in _TREATMENT_GROUPS]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pd0a, pn0a, pd1a, pn1a = (_prob(f[0], *m) for f, m in zip(fits, _TREATMENT_MODELS))
         sw_live = (pn0a / pd0a) * (pn1a / pd1a)
@@ -249,20 +281,21 @@ def _constant_outcome(w):
 
 
 def outcome_cells(weights):
-    """Fit logit P(Y | A0, A1) = a + b*A0 + c*A1 on the total weight of
-    each cell, weights (R, 32); return the always- and never-treated
-    probabilities p11, p00 (NaN in a failed row) and status (R,).  First
-    match wins: a constant outcome (separated), a singular fit, a
-    coefficient beyond SEPARATION_BOUND, a probability within
-    BOUNDARY_FLOOR of 0 or 1 (degenerate), a fit stopped before
-    convergence (REP_NOT_CONVERGED, usable)."""
-    bm, _, _, st = fit_batched(_X_M, _Y, weights)
+    """Fit logit P(Y | A0, A1) = a + b*A0 + c*A1 on the cell weights
+    (R, 32), summed over the cells of each (A0, A1, Y); return the
+    always- and never-treated probabilities p11, p00 (NaN in a failed
+    row) and status (R,).  First match wins: a constant outcome
+    (separated), a singular fit, a coefficient beyond SEPARATION_BOUND, a
+    probability within BOUNDARY_FLOOR of 0 or 1 (degenerate), a fit
+    stopped before convergence (REP_NOT_CONVERGED, usable)."""
+    w = np.asarray(weights, dtype=np.float64)
+    bm, _, _, st = _fit_groups(_MSM_GROUPS, w)
     with np.errstate(over="ignore"):
         p11 = expit(bm[:, 0] + bm[:, 1] + bm[:, 2])
         p00 = expit(bm[:, 0])
     lo, hi = np.minimum(p00, p11), np.maximum(p00, p11)
     status = np.select([
-        _constant_outcome(np.asarray(weights)),
+        _constant_outcome(w),
         st == FIT_SINGULAR,
         np.max(np.abs(bm), axis=1) > SEPARATION_BOUND,
         (lo < BOUNDARY_FLOOR) | (hi > 1.0 - BOUNDARY_FLOOR),
@@ -274,8 +307,9 @@ def outcome_cells(weights):
 
 
 # rows fitted per weight_cells/outcome_cells call; caps rr_cells' working
-# memory, and 1024 keeps a 1000-replicate bootstrap plus its point
-# estimate in one block
+# memory at a few (BLOCK_ROWS, 32) stage arrays (a grouped fit's arrays
+# are at most half as wide), and 1024 keeps a 1000-replicate bootstrap
+# plus its point estimate in one block
 BLOCK_ROWS = 1024
 
 

@@ -8,8 +8,11 @@ the package computed it before every estimate moved to the 32 cell
 counts: four treatment fits and the weighted outcome fit, each run by
 this reference fit on n rows.  Tests compare the engine against them;
 only the summation order differs, so the two agree to floating-point
-roundoff.  `read_cohort_rows` is the cohort CSV reader as the package ran
-it before the columnar `Cohort`: csv.reader and one row at a time.
+roundoff.  `ungrouped_fits` fits each of the five models on all 32
+cells, as the stages did before each model was fitted on its distinct
+(design row, response) groups.  `read_cohort_rows` is the cohort CSV
+reader as the package ran it before the columnar `Cohort`: csv.reader
+and one row at a time.
 """
 import csv
 import warnings
@@ -23,8 +26,12 @@ from evtv._kernels import (
     FIT_SINGULAR,
     FIT_TOL,
     POSITIVITY_FLOOR,
+    _TREATMENT_MODELS,
+    _X_M,
+    _Y,
     _expit,
     _loglik,
+    fit_batched,
 )
 from evtv.estimation import Cohort, PositivityViolation, SingularDesign
 from evtv.report import COHORT_COLUMNS, EmptyFile, MissingColumn, NonBinaryValue
@@ -163,6 +170,18 @@ def fit_logistic(x, y, w, tol, max_iter):
     gmax = np.max(np.abs(x.T @ (w * (y - _expit(eta)))))
     status = FIT_CONVERGED if gmax < tol else FIT_MAXITER
     return beta, max_iter, gmax, status
+
+
+# the five models' (design, response) over the 32 cells: four treatment
+# models, then the outcome model
+CELL_MODELS = _TREATMENT_MODELS + ((_X_M, _Y),)
+
+
+def ungrouped_fits(counts, weights):
+    """fit_batched results of the five models, each on all 32 cells: the
+    four treatment models on counts and the outcome model on weights,
+    both (R, 32)."""
+    return [fit_batched(x, y, w) for (x, y), w in zip(CELL_MODELS, [counts] * 4 + [weights])]
 
 
 def _plain_expit(x):

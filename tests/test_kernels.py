@@ -29,7 +29,7 @@ from evtv._kernels import (
 from evtv.estimation import Cohort, cohort_cells
 from evtv.simulation import SimulationParams, generate_cohort
 
-from _per_row import _chol_solve, fit_logistic, per_row_rr
+from _per_row import CELL_MODELS, _chol_solve, fit_logistic, per_row_rr, ungrouped_fits
 
 
 def logistic_cohort(n: int, seed: int):
@@ -547,3 +547,90 @@ def test_replicate_result_does_not_depend_on_batch(counts):
             assert np.isnan(rr_alone[0])
         else:
             assert math.isclose(rr_alone[0], rr[r], rel_tol=1e-12)
+
+
+def grouped_fits(counts, weights):
+    """The five models' fits as the stages run them, each on its groups:
+    the four treatment models on counts, the outcome model on weights."""
+    groups = _kernels._TREATMENT_GROUPS + (_kernels._MSM_GROUPS,)
+    return [_kernels._fit_groups(g, w) for g, w in zip(groups, [counts] * 4 + [weights])]
+
+
+# A fit that gives a cell holding weight a fitted probability within about
+# 1e-6 of 0 or 1 is near separation: its likelihood is almost flat along
+# the separating direction, and Newton stops at the gradient tolerance at
+# a point that any change of summation order moves.  On 200,000 random
+# sparse rows the grouped and ungrouped coefficients of such fits differed
+# by up to 7.6e-6 relative, and those of every other fit by at most 3e-14.
+NEAR_SEPARATION = 1e-6
+
+
+def assert_fits_agree(got, want, x, w):
+    # same status and iterations on every row; coefficients within 1e-12
+    # of the reference, relative to 1 + |beta|, unless near separation
+    beta, iterations, _, status = got
+    beta_ref, iterations_ref, _, status_ref = want
+    assert np.array_equal(status, status_ref) and np.array_equal(iterations, iterations_ref)
+    mu = _kernels.expit(_kernels._linear(beta_ref, x))
+    near = np.any((w > 0.0) & (mu * (1.0 - mu) <= NEAR_SEPARATION), axis=1)
+    err = np.max(np.abs(beta - beta_ref) / (1.0 + np.abs(beta_ref)), axis=1)
+    assert np.all(err[~near] <= 1e-12)
+    assert np.all(err[near] <= 1e-4)
+
+
+class TestGroupedFits:
+    """Each model is fitted on its distinct (design row, response) groups."""
+
+    def test_groups_partition_the_cells(self):
+        groups = _kernels._TREATMENT_GROUPS + (_kernels._MSM_GROUPS,)
+        assert [cells.shape[1] for cells, _, _ in groups] == [4, 2, 16, 4, 8]
+        for (cells, x_g, y_g), (x, y) in zip(groups, CELL_MODELS):
+            assert sorted(cells.ravel()) == list(range(N_CELLS))
+            for j in range(cells.shape[1]):
+                assert np.all(x[cells[:, j]] == x_g[j]) and np.all(y[cells[:, j]] == y_g[j])
+            distinct = {(*row, r) for row, r in zip(x_g.tolist(), y_g.tolist())}
+            assert len(distinct) == cells.shape[1]
+
+    @pytest.mark.parametrize("case", [(14, 2), (30, 3)])
+    def test_bootstrap_fits_match_the_ungrouped_fits(self, case):
+        # the outcome model on the weighted counts of the rows that pass
+        # the weight stage
+        counts = bootstrap_counts(*case, 300)
+        sw, status = weight_cells(counts)
+        live = status <= REP_NOT_CONVERGED
+        with np.errstate(invalid="ignore"):  # 0 * inf in empty cells
+            w = np.where(counts[live] > 0, counts[live] * sw[live], 0.0)
+        for got, want, (x, _), rows in zip(grouped_fits(counts, w), ungrouped_fits(counts, w),
+                                           CELL_MODELS, [counts] * 4 + [w]):
+            assert_fits_agree(got, want, x, rows)
+
+
+_cell_scale = arrays(np.float64, (12, N_CELLS), elements=st.floats(0.01, 100.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.int64, st.tuples(st.integers(1, 12), st.just(N_CELLS)), elements=_cell_count),
+       _cell_scale)
+def test_grouped_fits_match_the_ungrouped_fits(counts, scale):
+    # sparse counts for the treatment models, float cell weights for the
+    # outcome model
+    c = counts.astype(np.float64)
+    w = c * scale[: c.shape[0]]
+    for got, want, (x, _), rows in zip(grouped_fits(c, w), ungrouped_fits(c, w),
+                                       CELL_MODELS, [c] * 4 + [w]):
+        assert_fits_agree(got, want, x, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.int64, st.tuples(st.integers(1, 12), st.just(N_CELLS)), elements=_cell_count),
+       _cell_scale)
+def test_outcome_fit_does_not_depend_on_batch(counts, scale):
+    # float outcome-model weights: a row's grouped totals, fit and status
+    # are the same bits alone as in any batch
+    w = counts * scale[: counts.shape[0]]
+    p11, p00, status = outcome_cells(w)
+    for r in range(w.shape[0]):
+        q11, q00, st_alone = outcome_cells(w[r : r + 1])
+        assert st_alone[0] == status[r]
+        assert np.array_equal(q11, p11[r : r + 1], equal_nan=True)
+        assert np.array_equal(q00, p00[r : r + 1], equal_nan=True)

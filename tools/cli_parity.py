@@ -1,23 +1,35 @@
-"""Byte-for-byte comparison of the evtv CLI between two checkouts.
+"""Comparison of the evtv CLI between two checkouts, or against the
+golden corpus in tests/golden/.
 
 Runs a fixed list of commands, each in a fresh interpreter, against the
-`src/` of each checkout and compares exit code, stdout, stderr and the
-`--cohort-out` CSV, argparse's version and usage-error text included.
-Fresh processes matter: a warning raised while a module is first
-imported inside a command would add a stderr line that an in-process
-test, with everything already loaded, cannot see.
+`src/` of a checkout and records exit code, stdout, stderr and the
+sha256 of the `--cohort-out` CSV, argparse's version and usage-error text
+included.  Fresh processes matter: a warning raised while a module is
+first imported inside a command would add a stderr line that an
+in-process test, with everything already loaded, cannot see.
 
 The `analyze` commands cover both ways the cohort reader parses a body:
 files in the writer's layout (`simulate --cohort-out`, n = 1000 and
 100,000) and the FIXTURES written here, which are not in that layout
 (CRLF, quoted and padded cells, an extra column) or not valid.
 
-    python3 tools/cli_parity.py OLD_CHECKOUT NEW_CHECKOUT
+    python3 tools/cli_parity.py OLD_CHECKOUT NEW_CHECKOUT [--rel-tol X]
+    python3 tools/cli_parity.py --record CHECKOUT
 
-Exits 0 when every command matches, 1 otherwise.
+The first form prints `same`, `same within X` or `DIFFERS in <fields>`
+for each command and exits 0 when no command differs, 1 otherwise.
+Without --rel-tol every byte must match; with it, the JSON of a
+successful `simulate` or `analyze` may differ only in floats within X
+(see `compare`).
+The second form writes CHECKOUT's results to tests/golden/ of the
+checkout holding this script, the corpus `tests/test_golden_cli.py`
+compares against.
 """
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 import os
 import random
 import subprocess
@@ -56,6 +68,13 @@ COMMANDS = [
     "analyze --input missing_column.csv --bootstrap 0",
 ]
 
+FIELDS = ("exit code", "stdout", "stderr", "cohort CSV")
+
+# commands whose successful stdout is a JSON document of fitted numbers
+ESTIMATING = ("simulate", "analyze")
+
+GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
+
 
 def _csv(lines: list[list[str]], end: str = "\n") -> bytes:
     return (end.join(",".join(line) for line in lines) + end).encode("utf-8")
@@ -81,10 +100,12 @@ def fixtures() -> dict[str, bytes]:
 
 
 def run_all(checkout: Path) -> list[tuple]:
-    """(exit code, stdout, stderr, --cohort-out bytes or None) of every
-    command, run in order in one scratch directory that holds the
-    fixtures, so `analyze` reads them and the CSVs that `simulate` wrote."""
-    env = {k: v for k, v in os.environ.items() if k != "EVTV_SEED"}
+    """(exit code, stdout, stderr, sha256 hex of the --cohort-out CSV or
+    None) of every command, run in order in one scratch directory that
+    holds the fixtures, so `analyze` reads them and the CSVs that
+    `simulate` wrote.  EVTV_SEED is unset, and so are COLUMNS and LINES,
+    from which argparse would take the width it wraps usage text to."""
+    env = {k: v for k, v in os.environ.items() if k not in ("EVTV_SEED", "COLUMNS", "LINES")}
     env["PYTHONPATH"] = str(checkout.resolve() / "src")
     results = []
     with tempfile.TemporaryDirectory() as work:
@@ -98,23 +119,86 @@ def run_all(checkout: Path) -> list[tuple]:
             )
             written = None
             if "--cohort-out" in argv:
-                written = (Path(work) / argv[argv.index("--cohort-out") + 1]).read_bytes()
+                data = (Path(work) / argv[argv.index("--cohort-out") + 1]).read_bytes()
+                written = hashlib.sha256(data).hexdigest()
             results.append((proc.returncode, proc.stdout, proc.stderr, written))
     return results
 
 
+def _json_match(a, b, rel_tol: float) -> bool:
+    # same keys in the same order, same types and non-float values, and
+    # floats within rel_tol of each other
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_json_match(a[k], b[k], rel_tol) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_json_match(x, y, rel_tol) for x, y in zip(a, b))
+    if isinstance(a, float):
+        return math.isclose(a, b, rel_tol=rel_tol, abs_tol=0.0)
+    return a == b
+
+
+def compare(command: str, expected: tuple, got: tuple, rel_tol: float) -> list[str]:
+    """FIELDS in which two results of `command` differ.  Every field must
+    match byte for byte, except, when rel_tol > 0, the stdout of a
+    `simulate` or `analyze` that exits 0 on both sides: that is parsed as
+    JSON and must have the same keys in the same order, the same types
+    and non-float values, and floats within rel_tol relative."""
+    diff = [f for f, x, y in zip(FIELDS, expected, got) if x != y]
+    if (rel_tol > 0.0 and diff == ["stdout"] and expected[0] == 0
+            and command.split()[0] in ESTIMATING):
+        try:
+            docs = json.loads(expected[1]), json.loads(got[1])
+        except ValueError:
+            return diff
+        if _json_match(*docs, rel_tol):
+            return []
+    return diff
+
+
+def write_golden(results: list[tuple]) -> None:
+    """Write results of COMMANDS as the golden corpus: index.json holds
+    each command with its exit code and CSV hash, NN.stdout and NN.stderr
+    its output bytes."""
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    index = []
+    for i, (command, (code, out, err, csv_hash)) in enumerate(zip(COMMANDS, results)):
+        (GOLDEN / f"{i:02d}.stdout").write_bytes(out)
+        (GOLDEN / f"{i:02d}.stderr").write_bytes(err)
+        index.append({"command": command, "exit": code, "cohort_sha256": csv_hash})
+    (GOLDEN / "index.json").write_text(json.dumps(index, indent=2) + "\n")
+
+
+def read_golden() -> list[tuple]:
+    """The golden results in the order of COMMANDS, which the corpus must list."""
+    index = json.loads((GOLDEN / "index.json").read_text())
+    if [entry["command"] for entry in index] != COMMANDS:
+        raise ValueError(f"{GOLDEN} does not hold the current COMMANDS; rerun --record")
+    return [(entry["exit"], (GOLDEN / f"{i:02d}.stdout").read_bytes(),
+             (GOLDEN / f"{i:02d}.stderr").read_bytes(), entry["cohort_sha256"])
+            for i, entry in enumerate(index)]
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    if len(argv) == 2 and argv[0] == "--record":
+        write_golden(run_all(Path(argv[1])))
+        return 0
+    rel_tol = 0.0
+    if len(argv) == 4 and argv[2] == "--rel-tol":
+        rel_tol = float(argv[3])
+        argv = argv[:2]
+    if len(argv) != 2 or not rel_tol >= 0.0:
         print(__doc__, file=sys.stderr)
         return 2
     old, new = (run_all(Path(a)) for a in argv)
-    fields = ("exit code", "stdout", "stderr", "cohort CSV")
     differs = 0
     for command, a, b in zip(COMMANDS, old, new):
-        diff = [f for f, x, y in zip(fields, a, b) if x != y]
+        diff = compare(command, a, b, rel_tol)
         differs += bool(diff)
-        print(f"{'DIFFERS in ' + ', '.join(diff) if diff else 'same'}: {command} "
-              f"(exit {b[0]}, {len(b[1])} B stdout, {len(b[2])} B stderr)")
+        verdict = ("same" if a == b else f"same within {rel_tol:g}" if not diff
+                   else "DIFFERS in " + ", ".join(diff))
+        print(f"{verdict}: {command} (exit {b[0]}, {len(b[1])} B stdout, {len(b[2])} B stderr)")
     return 1 if differs else 0
 
 
