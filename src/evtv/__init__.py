@@ -24,9 +24,8 @@ __version__ = "0.1.0"
 # where each public name is defined; a name is imported on first access
 _HOMES = {
     "errors": ("BootstrapFailure", "EstimationError", "PositivityViolation",
-               "SeparationWarning", "SingularDesign", "WeightDiagnosticWarning"),
-    "estimation": ("Cohort", "FittedLogistic", "MsmResult", "bootstrap_ci",
-                   "fit_logistic", "fit_msm", "stabilized_weights"),
+               "SingularDesign", "WeightDiagnosticWarning"),
+    "estimation": ("Cohort", "MsmResult", "bootstrap_ci"),
     "evalue": ("BiasFactor", "ConfounderStrength", "EffectEstimate", "EValueReport",
                "Measure", "NormalizedEstimate", "TradeoffPoint", "adjusted_rr",
                "bias_factor", "build_report", "ci_evalue", "combined_bias",

@@ -2,8 +2,7 @@
 
 `fit_batched` is the package's one logistic fitting engine: damped
 Newton on one design under R weight vectors at once, with per-replicate
-masks for convergence, step-halving and status.  `estimation.fit_logistic`
-runs it on a single weight row.
+masks for convergence, step-halving and status.
 
 Every subject of the two-timepoint design is one of 2**5 = 32 binary
 histories (l0, a0, l1, a1, y), so all five models of the weight-and-fit

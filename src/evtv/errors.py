@@ -32,9 +32,5 @@ class BootstrapFailure(EstimationError):
     """Too many bootstrap replicates failed to produce an estimate."""
 
 
-class SeparationWarning(UserWarning):
-    """The likelihood maximum lies at infinite coefficients."""
-
-
 class WeightDiagnosticWarning(UserWarning):
     """Mean stabilized weight far from 1, suggesting model misspecification."""

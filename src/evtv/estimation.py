@@ -1,14 +1,18 @@
-"""Treatment models, stabilized IPW weights, the weighted marginal outcome
-model, and nonparametric bootstrap intervals for the two-timepoint design.
+"""The cohort, the marginal risk ratio result, and nonparametric
+bootstrap intervals for the two-timepoint design.
 
 The estimand is the marginal risk ratio comparing always treated with
-never treated.  Weights stabilize with marginal treatment models in the
-numerator and condition on measured history in the denominator, so the
-estimate is unbiased only under no unmeasured confounding; quantifying
-robustness to that assumption is the job of the evalue module.
+never treated, from a weighted marginal outcome model under stabilized
+inverse-probability-of-treatment weights.  Weights stabilize with
+marginal treatment models in the numerator and condition on measured
+history in the denominator, so the estimate is unbiased only under no
+unmeasured confounding; quantifying robustness to that assumption is the
+job of the evalue module.
 
 Every estimate comes from 32 binary-history cell counts (_kernels.rr_cells or its stages),
 and one table, _FAILURES, turns a failed status into its error for every kind of estimate.
+A subject's stabilized weight is its cell's entry of _kernels.weight_cells' sw, gathered
+by cohort_cells.
 """
 from __future__ import annotations
 
@@ -19,12 +23,11 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels, _rng
-from ._kernels import FIT_TOL, SEPARATION_BOUND
+from ._kernels import SEPARATION_BOUND
 from .errors import (
     BootstrapFailure,
     EstimationError,
     PositivityViolation,
-    SeparationWarning,
     SingularDesign,
     WeightDiagnosticWarning,
     check_size,
@@ -32,17 +35,12 @@ from .errors import (
 
 __all__ = [
     "Cohort",
-    "FittedLogistic",
     "MsmResult",
     "EstimationError",
     "SingularDesign",
     "PositivityViolation",
     "BootstrapFailure",
-    "SeparationWarning",
     "WeightDiagnosticWarning",
-    "fit_logistic",
-    "stabilized_weights",
-    "fit_msm",
     "bootstrap_ci",
 ]
 
@@ -84,22 +82,6 @@ class Cohort:
 
 
 @dataclass(frozen=True)
-class FittedLogistic:
-    """Result of one logistic fit.  Coefficients are intercept first."""
-
-    coefficients: tuple[float, ...]
-    converged: bool
-    iterations: int
-    max_abs_gradient: float
-
-    def __post_init__(self) -> None:
-        if self.converged and not self.max_abs_gradient < FIT_TOL:
-            raise ValueError(
-                f"converged fit with gradient {self.max_abs_gradient} >= {FIT_TOL}"
-            )
-
-
-@dataclass(frozen=True)
 class MsmResult:
     """Marginal risk ratio with its weight diagnostics and optional CI."""
 
@@ -124,63 +106,6 @@ class MsmResult:
             raise ValueError("ci_lower exceeds ci_upper")
 
 
-def fit_logistic(
-    design: np.ndarray,
-    response: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-) -> FittedLogistic:
-    """Fit a weighted logistic regression by damped Newton iteration
-    (_kernels.fit_batched on one weight row).
-
-    Convergence means every component of the weighted score drops below
-    1e-8 within 100 iterations; otherwise the best iterate is returned
-    with converged False.  A collinear design raises SingularDesign.
-    Separation (a constant response, or any coefficient beyond 30 on the
-    logit scale) is reported as a SeparationWarning on the best iterate.
-    """
-    x = np.ascontiguousarray(design, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"design must be 2-dimensional, got shape {x.shape}")
-    y = np.ascontiguousarray(response, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] != x.shape[0]:
-        raise ValueError("response length must match design rows")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("response must be binary")
-    if weights is None:
-        w = np.ones(x.shape[0])
-    else:
-        w = np.ascontiguousarray(weights, dtype=np.float64)
-        if w.shape != y.shape:
-            raise ValueError("weights length must match response")
-        if not np.all(w >= 0.0):
-            raise ValueError("weights must be nonnegative")
-
-    constant_response = y.min() == y.max()
-    if constant_response:
-        warnings.warn(
-            "response is constant; the likelihood maximum lies at infinity "
-            "and the fit stops at the gradient tolerance",
-            SeparationWarning,
-            stacklevel=2,
-        )
-    beta, iterations, gmax, status = (v[0] for v in _kernels.fit_batched(x, y, w[None, :]))
-    if status == _kernels.FIT_SINGULAR:
-        raise SingularDesign("design matrix is collinear on the observed data")
-    if not constant_response and np.max(np.abs(beta)) > SEPARATION_BOUND:
-        warnings.warn(
-            f"coefficient beyond {SEPARATION_BOUND} on the logit scale suggests "
-            "separation; estimates are unreliable",
-            SeparationWarning,
-            stacklevel=2,
-        )
-    return FittedLogistic(
-        coefficients=tuple(float(b) for b in beta),
-        converged=status == _kernels.FIT_CONVERGED,
-        iterations=int(iterations),
-        max_abs_gradient=float(gmax),
-    )
-
-
 # error class, name in failure counts and message of each failed _kernels.REP_* status
 _FAILURES = {
     _kernels.REP_ARM_MISSING: (PositivityViolation, "arm missing",
@@ -198,87 +123,32 @@ _FAILURES = {
 }
 
 
-def _raise_failure(status: int) -> None:
-    failure = _FAILURES.get(int(status))
-    if failure is not None:
-        raise failure[0](failure[2])
-
-
-def _msm_result(status, p11, p00, weight_mean, weight_max) -> MsmResult:
-    # one row of an estimate: its error if it failed, else its MsmResult
-    _raise_failure(status)
-    if not 0.8 <= weight_mean <= 1.2:
-        warnings.warn(
-            f"mean stabilized weight {weight_mean:.3f} outside [0.8, 1.2]; "
-            "check the treatment models",
-            WeightDiagnosticWarning,
-            stacklevel=3,
-        )
-    p11, p00 = float(p11), float(p00)
-    return MsmResult(p11 / p00, p11, p00, float(weight_mean), float(weight_max))
-
-
 def cohort_cells(cohort: Cohort) -> np.ndarray:
     """Cell index 0..31 of each subject (see _kernels.cell_ids)."""
     return _kernels.cell_ids(*cohort.columns)
 
 
-def stabilized_weights(cohort: Cohort, truncate_percentile: Optional[float] = None) -> np.ndarray:
-    """Per-subject stabilized inverse-probability-of-treatment weights.
-
-    The denominator models condition on measured history, P(A0 | L0) and
-    P(A1 | A0, L0, L1); the numerators are the marginal P(A0) and the
-    A0-conditional P(A1 | A0), which stabilizes the weights without
-    reintroducing confounding.  The models are fitted on the cohort's 32
-    cell counts (_kernels.weight_cells); each subject gets its cell's
-    weight.  Weights are not truncated by default; pass
-    truncate_percentile (between 50 and 100, e.g. 99) to clip both tails
-    at the matching percentiles.
-    """
-    cells = cohort_cells(cohort)
-    sw, status = _kernels.weight_cells(np.bincount(cells, minlength=_kernels.N_CELLS)[None, :])
-    _raise_failure(status[0])
-    sw = sw[0][cells]
-    if truncate_percentile is not None:
-        p = float(truncate_percentile)
-        if not 50.0 < p < 100.0:
-            raise ValueError(
-                f"truncate_percentile must lie in (50, 100), got {truncate_percentile!r}"
-            )
-        lo, hi = np.percentile(sw, [100.0 - p, p])
-        sw = np.clip(sw, lo, hi)
-    return sw
-
-
-def fit_msm(cohort: Cohort, weights: np.ndarray) -> MsmResult:
-    """Fit the weighted marginal outcome model and read off the risk ratio.
-
-    The model is logit P(Y | A0, A1) = a + b*A0 + c*A1, fitted on the
-    total weight of each of the 32 cells (_kernels.outcome_cells);
-    always-treated and never-treated probabilities come from the fitted
-    coefficients, and rr_obs is their ratio.  A mean weight outside
-    [0.8, 1.2] triggers a diagnostic warning; a singular, separated or
-    degenerate fit raises EstimationError.
-    """
-    cells = cohort_cells(cohort)
-    w = np.ascontiguousarray(weights, dtype=np.float64)
-    if w.shape != cells.shape:
-        raise ValueError("weights length must match cohort size")
-    if not np.all(w > 0.0):
-        raise ValueError("stabilized weights must be positive")
-    totals = np.bincount(cells, weights=w, minlength=_kernels.N_CELLS)
-    p11, p00, status = _kernels.outcome_cells(totals[None, :])
-    return _msm_result(status[0], p11[0], p00[0], w.mean(), w.max())
-
-
 def cell_msm(counts: np.ndarray, fit: tuple, r: int) -> MsmResult:
     """MsmResult of row r of fit = _kernels.rr_cells(counts); raises the
-    row's error if its estimate failed."""
+    row's error if its estimate failed, and warns with
+    WeightDiagnosticWarning if the mean stabilized weight lies outside
+    [0.8, 1.2]."""
     _, status, p11, p00, sw = fit
+    failure = _FAILURES.get(int(status[r]))
+    if failure is not None:
+        raise failure[0](failure[2])
     occupied = counts[r] > 0
     w = sw[r][occupied]
-    weight_mean = np.sum(counts[r][occupied] * w) / np.sum(counts[r])
-    return _msm_result(status[r], p11[r], p00[r], weight_mean, np.max(w))
+    weight_mean = float(np.sum(counts[r][occupied] * w) / np.sum(counts[r]))
+    if not 0.8 <= weight_mean <= 1.2:
+        warnings.warn(
+            f"mean stabilized weight {weight_mean:.3f} outside [0.8, 1.2]; "
+            "check the treatment models",
+            WeightDiagnosticWarning,
+            stacklevel=2,
+        )
+    p11, p00 = float(p11[r]), float(p00[r])
+    return MsmResult(p11 / p00, p11, p00, weight_mean, float(np.max(w)))
 
 
 # the bootstrap holds a few (replicates, 32) float arrays at once, ~51 MB

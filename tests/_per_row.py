@@ -12,7 +12,7 @@ roundoff.  `ungrouped_fits` fits each of the five models on all 32
 cells, as the stages did before each model was fitted on its distinct
 (design row, response) groups.  `read_cohort_rows` is the cohort CSV
 reader as the package ran it before the columnar `Cohort`: csv.reader
-and one row at a time.
+and one row at a time.  `OFF_CALIBRATION_ROWS` is a shared fixture cohort.
 """
 import csv
 import warnings
@@ -35,6 +35,16 @@ from evtv._kernels import (
 )
 from evtv.estimation import Cohort, PositivityViolation, SingularDesign
 from evtv.report import COHORT_COLUMNS, EmptyFile, MissingColumn, NonBinaryValue
+
+
+# 16 subjects as (l0, a0, l1, a1, y) rows: every fit converges with
+# coefficients below 2.1 in magnitude, yet the mean stabilized weight is
+# 1.678, outside the [0.8, 1.2] calibration band
+OFF_CALIBRATION_ROWS = (
+    [(0, 0, 0, 0, 0), (0, 0, 0, 0, 1)] + [(0, 0, 0, 1, 1)] * 2 + [(0, 0, 1, 0, 0)] * 2
+    + [(0, 1, 0, 1, 0), (0, 1, 0, 1, 1)] + [(0, 1, 1, 1, 0)] * 2
+    + [(1, 0, 1, 1, 1), (1, 1, 0, 1, 0)] + [(1, 1, 1, 0, 0)] * 2 + [(1, 1, 1, 0, 1)] * 2
+)
 
 
 def cohort_from_rows(rows) -> Cohort:

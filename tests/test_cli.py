@@ -15,6 +15,8 @@ from evtv.evalue import MAX_CURVE_POINTS, NormalizedEstimate, evalue_from_rr
 from evtv.report import read_cohort_csv
 from evtv.simulation import MAX_COHORT_SIZE, MAX_REPLICATIONS
 
+from _per_row import OFF_CALIBRATION_ROWS
+
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = cli.main(list(argv))
@@ -424,6 +426,18 @@ class TestAnalyzeCommand:
         assert code == 3
         assert "separated" in err
         assert out == ""
+
+    def test_off_calibration_weights_warn(self, capsys, tmp_path):
+        path = tmp_path / "off_calibration.csv"
+        rows = ["l0,a0,l1,a1,y"] + [",".join(map(str, r)) for r in OFF_CALIBRATION_ROWS]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path), "--bootstrap", "0")
+        assert code == 0
+        assert err == (
+            "warning: mean stabilized weight 1.678 outside [0.8, 1.2]; "
+            "check the treatment models\n"
+        )
+        assert json.loads(out)["estimate"]["weight_mean"] == pytest.approx(1.678, abs=5e-4)
 
     def test_curve_included(self, capsys, tmp_path):
         path = self._cohort_file(capsys, tmp_path)

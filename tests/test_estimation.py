@@ -1,4 +1,6 @@
-"""Tests for the weighting and MSM estimation layer."""
+"""Tests for the weighting and MSM estimation layer: the cohort, the
+stabilized weights of _kernels.weight_cells gathered per subject, the
+estimate of analyze_cohort, and the bootstrap interval."""
 from dataclasses import replace
 
 import numpy as np
@@ -11,19 +13,13 @@ from evtv.estimation import (
     EstimationError,
     MsmResult,
     PositivityViolation,
-    SeparationWarning,
-    SingularDesign,
     WeightDiagnosticWarning,
     bootstrap_ci,
     cohort_cells,
-    fit_logistic,
-    fit_msm,
-    stabilized_weights,
 )
 from evtv.simulation import SimulationParams, analyze_cohort, generate_cohort
 
-import _per_row
-from _per_row import cohort_from_rows
+from _per_row import OFF_CALIBRATION_ROWS, cohort_from_rows
 
 
 def random_cohort(n: int, seed: int) -> Cohort:
@@ -40,6 +36,20 @@ def coin_cohort(n: int, seed: int) -> Cohort:
     a1 = rng.random(n) < 0.5
     y = rng.random(n) < 0.2 + 0.2 * a0 + 0.3 * a1
     return Cohort(l0, a0, l1, a1, y)
+
+
+def subject_weights(cohort: Cohort) -> np.ndarray:
+    """Per-subject stabilized weights: weight_cells' per-cell sw gathered
+    by cell id, after checking the treatment models succeeded."""
+    cells = cohort_cells(cohort)
+    sw, status = _kernels.weight_cells(np.bincount(cells, minlength=_kernels.N_CELLS)[None, :])
+    assert status[0] == _kernels.REP_OK
+    return sw[0][cells]
+
+
+def estimate(cohort: Cohort) -> MsmResult:
+    """The point estimate of analyze_cohort, without a bootstrap."""
+    return analyze_cohort(cohort, 0, 0)[0]
 
 
 class TestCohort:
@@ -80,90 +90,9 @@ class TestCohort:
             Cohort(*([],) * 5)
 
 
-class TestFitLogistic:
-    def test_recovers_coefficients(self):
-        rng = np.random.default_rng(1)
-        n = 20_000
-        x = np.column_stack([np.ones(n), rng.normal(size=n)])
-        p = 1.0 / (1.0 + np.exp(-(0.3 - 1.1 * x[:, 1])))
-        y = (rng.random(n) < p).astype(float)
-        fit = fit_logistic(x, y)
-        assert fit.converged
-        assert fit.max_abs_gradient < 1e-8
-        assert abs(fit.coefficients[0] - 0.3) < 0.1
-        assert abs(fit.coefficients[1] + 1.1) < 0.1
-
-    def test_singular_design_raises(self):
-        rng = np.random.default_rng(2)
-        n = 200
-        z = rng.normal(size=n)
-        x = np.column_stack([np.ones(n), z, -3.0 * z])
-        y = (rng.random(n) < 0.5).astype(float)
-        with pytest.raises(SingularDesign):
-            fit_logistic(x, y)
-
-    def test_constant_response_warns(self):
-        n = 50
-        x = np.column_stack([np.ones(n), np.linspace(0, 1, n)])
-        with pytest.warns(SeparationWarning):
-            fit_logistic(x, np.ones(n))
-
-    def test_separated_data_warns(self):
-        xv = np.linspace(-2, 2, 100)
-        x = np.column_stack([np.ones(100), xv])
-        y = (xv > 0).astype(float)
-        with pytest.warns(SeparationWarning):
-            fit_logistic(x, y)
-
-    @pytest.mark.filterwarnings("ignore::evtv.estimation.SeparationWarning")
-    def test_matches_the_per_row_reference(self):
-        # the batched engine on one weight row against the per-row loop in
-        # tests/_per_row.py: same status and iteration count, coefficients
-        # equal up to summation order
-        rng = np.random.default_rng(30)
-        for _ in range(300):
-            n, d = int(rng.integers(20, 301)), int(rng.integers(1, 5))
-            columns = [np.ones(n)]
-            for _ in range(d - 1):
-                columns.append(rng.normal(size=n) if rng.random() < 0.5
-                               else rng.integers(0, 2, n).astype(float))
-            if d > 2 and rng.random() < 0.1:
-                columns[-1] = 2.0 * columns[1]  # collinear
-            x = np.column_stack(columns)
-            truth = 1.5 * rng.normal(size=d)
-            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(x @ truth)))).astype(float)
-            w = np.ones(n) if rng.random() < 0.5 else rng.integers(0, 5, n).astype(float)
-            beta, iterations, _, status = _per_row.fit_logistic(
-                x, y, w, _kernels.FIT_TOL, _kernels.FIT_MAX_ITER
-            )
-            if status == _kernels.FIT_SINGULAR:
-                with pytest.raises(SingularDesign):
-                    fit_logistic(x, y, w)
-                continue
-            fit = fit_logistic(x, y, w)
-            assert fit.converged == (status == _kernels.FIT_CONVERGED)
-            assert fit.iterations == iterations
-            assert np.allclose(fit.coefficients, beta, rtol=1e-9, atol=1e-12)
-
-    def test_input_validation(self):
-        x = np.ones((10, 1))
-        y = np.zeros(10)
-        y[::2] = 1.0
-        with pytest.raises(ValueError):
-            fit_logistic(np.ones(10), y)  # 1-d design
-        with pytest.raises(ValueError):
-            fit_logistic(x, y[:5])
-        with pytest.raises(ValueError):
-            fit_logistic(x, y + 0.5)  # non-binary response
-        with pytest.raises(ValueError):
-            fit_logistic(x, y, weights=-np.ones(10))
-        with pytest.raises(ValueError):
-            fit_logistic(x, y, weights=np.ones(5))
-
-
 class TestStabilizedWeights:
     def test_mean_near_one_on_confounded_cohort(self):
-        w = stabilized_weights(random_cohort(2000, 5))
+        w = subject_weights(random_cohort(2000, 5))
         assert w.shape == (2000,)
         assert np.all(w > 0)
         assert 0.9 < w.mean() < 1.1
@@ -171,76 +100,57 @@ class TestStabilizedWeights:
     def test_near_unit_weights_without_confounding(self):
         # coin-flip treatments: numerator and denominator models estimate
         # the same probabilities, so weights concentrate at 1
-        w = stabilized_weights(coin_cohort(4000, 6))
+        w = subject_weights(coin_cohort(4000, 6))
         assert abs(w.mean() - 1.0) < 0.02
         assert np.all(np.abs(w - 1.0) < 0.35)
 
     def test_single_arm_raises_positivity(self):
         records = cohort_from_rows([(i % 2, 1, i % 2, i // 2 % 2, 0) for i in range(40)])
-        with pytest.raises(PositivityViolation):
-            stabilized_weights(records)
+        with pytest.raises(PositivityViolation, match="treatment arm is empty"):
+            estimate(records)
         records = cohort_from_rows([(i % 2, i // 2 % 2, i % 2, 0, 0) for i in range(40)])
-        with pytest.raises(PositivityViolation):
-            stabilized_weights(records)
+        with pytest.raises(PositivityViolation, match="treatment arm is empty"):
+            estimate(records)
 
     def test_constant_outcome_still_weighted(self):
         # the outcome plays no part in the treatment models; only the
         # risk ratio needs both outcomes
         records = replace(random_cohort(500, 22), y=np.zeros(500))
-        w = stabilized_weights(records)
+        w = subject_weights(records)
         assert w.shape == (500,) and np.all(np.isfinite(w)) and np.all(w > 0)
         with pytest.raises(EstimationError, match="separat"):
-            analyze_cohort(records, 0, 0)
-
-    def test_truncation_clips_tails(self):
-        cohort = random_cohort(2000, 7)
-        w = stabilized_weights(cohort)
-        wt = stabilized_weights(cohort, truncate_percentile=90.0)
-        assert wt.max() <= w.max()
-        assert wt.min() >= w.min()
-        assert wt.max() == pytest.approx(np.percentile(w, 90.0), rel=1e-12)
-        # interior weights pass through untouched
-        inside = (w > np.percentile(w, 10.0)) & (w < np.percentile(w, 90.0))
-        assert np.array_equal(w[inside], wt[inside])
-
-    def test_truncation_percentile_validated(self):
-        cohort = random_cohort(200, 8)
-        for bad in (50.0, 100.0, 12.0, -3.0):
-            with pytest.raises(ValueError):
-                stabilized_weights(cohort, truncate_percentile=bad)
+            estimate(records)
 
     def test_deterministic(self):
         cohort = random_cohort(500, 9)
-        assert np.array_equal(stabilized_weights(cohort), stabilized_weights(cohort))
+        assert np.array_equal(subject_weights(cohort), subject_weights(cohort))
+        assert estimate(cohort) == estimate(cohort)
 
 
 class TestFitMsm:
     def test_recovers_marginal_effect_without_confounding(self):
         # with coin treatments the crude contrast is causal; the MSM
         # should land near P(Y|a0=1,a1=1)/P(Y|a0=0,a1=0) = 0.7/0.2
-        cohort = coin_cohort(40_000, 10)
-        w = stabilized_weights(cohort)
-        msm = fit_msm(cohort, w)
+        msm = estimate(coin_cohort(40_000, 10))
         assert msm.rr_obs == pytest.approx(3.5, abs=0.25)
 
     def test_identity_between_probabilities_and_ratio(self):
-        cohort = random_cohort(1500, 11)
-        msm = fit_msm(cohort, stabilized_weights(cohort))
+        msm = estimate(random_cohort(1500, 11))
         assert msm.rr_obs == pytest.approx(msm.p11 / msm.p00, rel=1e-12)
         assert msm.ci_lower is None and msm.ci_upper is None
 
     def test_weight_diagnostics_recorded(self):
         cohort = random_cohort(1500, 12)
-        w = stabilized_weights(cohort)
-        msm = fit_msm(cohort, w)
+        w = subject_weights(cohort)
+        msm = estimate(cohort)
         assert msm.weight_mean == pytest.approx(w.mean(), rel=1e-12)
-        assert msm.weight_max == pytest.approx(w.max(), rel=1e-12)
+        assert msm.weight_max == w.max()
 
     def test_off_calibration_weights_warn(self):
-        cohort = random_cohort(800, 13)
-        w = np.full(len(cohort), 2.0)
-        with pytest.warns(WeightDiagnosticWarning):
-            fit_msm(cohort, w)
+        cohort = cohort_from_rows(OFF_CALIBRATION_ROWS)
+        with pytest.warns(WeightDiagnosticWarning, match=r"1\.678 outside \[0\.8, 1\.2\]"):
+            msm = estimate(cohort)
+        assert msm.weight_mean == pytest.approx(subject_weights(cohort).mean(), rel=1e-12)
 
     def test_degenerate_outcome_raises(self):
         # y identical to a1 drives the fitted arm probabilities onto the
@@ -253,25 +163,15 @@ class TestFitMsm:
             l1 = int(rng.random() < 0.5)
             a1 = int(rng.random() < 0.5)
             rows.append((l0, a0, l1, a1, a1))
-        records = cohort_from_rows(rows)
-        w = np.ones(len(records))
         with pytest.raises(EstimationError, match="separat"):
-            fit_msm(records, w)
+            estimate(cohort_from_rows(rows))
 
     def test_constant_outcome_is_separated(self):
-        # the same failure, under the same name, as analyze_cohort
-        records = replace(random_cohort(300, 3), y=np.zeros(300))
-        with pytest.raises(EstimationError, match="separated fit"):
-            fit_msm(records, stabilized_weights(records))
-        with pytest.raises(EstimationError, match="separated fit"):
-            analyze_cohort(records, 0, 0)
-
-    def test_weight_validation(self):
-        cohort = random_cohort(100, 15)
-        with pytest.raises(ValueError):
-            fit_msm(cohort, np.ones(50))
-        with pytest.raises(ValueError):
-            fit_msm(cohort, np.zeros(100))
+        # either constant outcome fails under one name, before any fit
+        for y in (np.zeros(300), np.ones(300)):
+            records = replace(random_cohort(300, 3), y=y)
+            with pytest.raises(EstimationError, match="separated fit"):
+                estimate(records)
 
     def test_msm_result_invariants(self):
         with pytest.raises(ValueError):
@@ -302,9 +202,8 @@ class TestBootstrapCi:
 
     def test_interval_brackets_point_estimate(self):
         cohort = random_cohort(1000, 17)
-        msm = fit_msm(cohort, stabilized_weights(cohort))
         lo, hi = bootstrap_ci(cohort, replicates=400, seed=0)
-        assert lo < msm.rr_obs < hi
+        assert lo < estimate(cohort).rr_obs < hi
 
     def test_interval_stable_under_doubling(self):
         cohort = random_cohort(1000, 18)

@@ -112,7 +112,7 @@ def test_exception_classes_have_one_home():
         import evtv
 
         names = ["EstimationError", "SingularDesign", "PositivityViolation",
-                 "BootstrapFailure", "SeparationWarning", "WeightDiagnosticWarning"]
+                 "BootstrapFailure", "WeightDiagnosticWarning"]
         top = {n: getattr(evtv, n) for n in names}
         loaded = "numpy" in sys.modules
         # submodules resolve as attributes of the bare package too

@@ -295,7 +295,7 @@ class TestCholSolve:
 
 
 class TestNumpyFitKernel:
-    """fit_batched on one weight row, the form estimation.fit_logistic runs."""
+    """fit_batched on one weight row."""
 
     def test_recovers_known_coefficients(self):
         rng = np.random.default_rng(11)

@@ -241,7 +241,6 @@ class TestRunReplications:
         b = {r.seed for r in run_replications(p, 8, 4)}
         assert a.isdisjoint(b)
 
-    @pytest.mark.filterwarnings("ignore::evtv.estimation.SeparationWarning")
     @pytest.mark.filterwarnings("ignore::evtv.estimation.WeightDiagnosticWarning")
     def test_widespread_failure_raises(self):
         # four subjects per cohort: treatment arms vanish constantly
