@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "errors": ("BootstrapFailure", "EstimationError", "PositivityViolation",
                "SingularDesign", "WeightDiagnosticWarning"),
-    "estimation": ("Cohort", "MsmResult", "bootstrap_ci"),
+    "estimation": ("Cohort", "MsmResult", "analyze_cohort"),
     "evalue": ("BiasFactor", "ConfounderStrength", "EffectEstimate", "EValueReport",
                "Measure", "NormalizedEstimate", "TradeoffPoint", "adjusted_rr",
                "bias_factor", "build_report", "ci_evalue", "combined_bias",

@@ -229,16 +229,16 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_analyze(args) -> str:
-    from . import _rng, simulation
+    from . import _rng, estimation
 
     # refuse out-of-range sizes, time points and a bad seed before reading the file
     check_timepoints(args.timepoints)
     points = _curve_points(args)
     if args.bootstrap:
-        simulation.check_replicates(args.bootstrap)
+        estimation.check_replicates(args.bootstrap)
     seed = _rng.check_seed(_resolve_seed(args))
     cohort = report.read_cohort_csv(args.input)
-    msm, rep = simulation.analyze_cohort(cohort, args.bootstrap, seed, args.timepoints, points)
+    msm, rep = estimation.analyze_cohort(cohort, args.bootstrap, seed, args.timepoints, points)
     return report.write_analysis_json(msm, rep)
 
 

@@ -1,5 +1,6 @@
-"""The cohort, the marginal risk ratio result, and nonparametric
-bootstrap intervals for the two-timepoint design.
+"""The cohort, the marginal risk ratio result, and analyze_cohort, the one
+fit -> bootstrap -> widen -> report driver behind `evtv analyze`, `evtv simulate`
+and every bootstrapped replication, for the two-timepoint design.
 
 The estimand is the marginal risk ratio comparing always treated with
 never treated, from a weighted marginal outcome model under stabilized
@@ -11,13 +12,12 @@ job of the evalue module.
 
 Every estimate comes from 32 binary-history cell counts (_kernels.rr_cells or its stages),
 and one table, _FAILURES, turns a failed status into its error for every kind of estimate.
-A subject's stabilized weight is its cell's entry of _kernels.weight_cells' sw, gathered
-by cohort_cells.
+A subject's stabilized weight is its cell's entry of _kernels.weight_cells' sw (cohort_cells).
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -32,6 +32,7 @@ from .errors import (
     WeightDiagnosticWarning,
     check_size,
 )
+from .evalue import EffectEstimate, EValueReport, build_report
 
 __all__ = [
     "Cohort",
@@ -41,7 +42,7 @@ __all__ = [
     "PositivityViolation",
     "BootstrapFailure",
     "WeightDiagnosticWarning",
-    "bootstrap_ci",
+    "analyze_cohort",
 ]
 
 
@@ -195,10 +196,25 @@ def percentile_ci(rr: np.ndarray, status: np.ndarray) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def bootstrap_ci(cohort: Cohort, replicates: int = 1000, seed: int = 0) -> tuple[float, float]:
-    """Percentile bootstrap interval for the marginal risk ratio: one
-    batched fit (_kernels.rr_cells) on the 32 cell counts of every
-    resample (resample_counts); failed replicates are dropped, and more
-    than 10 percent failing raises BootstrapFailure (percentile_ci)."""
-    rr, status, *_ = _kernels.rr_cells(resample_counts(cohort_cells(cohort), replicates, seed))
-    return percentile_ci(rr, status)
+def analyze_cohort(
+    cohort: Cohort, bootstrap: int, seed: int, timepoints: int = 2, curve_points: int = 0
+) -> tuple[MsmResult, EValueReport]:
+    """Estimate a cohort's risk ratio and derive its E-value report.
+
+    One rr_cells call fits the cohort's cell counts (row 0) and those of
+    `bootstrap` resamples (resample_counts) under the same failure rules.
+    Returns (msm, report).
+    """
+    cells = cohort_cells(cohort)
+    counts = np.bincount(cells, minlength=_kernels.N_CELLS)[None, :]
+    if bootstrap:
+        counts = np.vstack([counts, resample_counts(cells, bootstrap, seed)])
+    fit = _kernels.rr_cells(counts)
+    msm = cell_msm(counts, fit, 0)
+    if bootstrap:
+        lo, hi = percentile_ci(fit[0][1:], fit[1][1:])
+        # a percentile interval from a finite resample can exclude the
+        # point estimate; widen to keep the report's CI well-formed
+        msm = replace(msm, ci_lower=min(lo, msm.rr_obs), ci_upper=max(hi, msm.rr_obs))
+    estimate = EffectEstimate("rr", msm.rr_obs, msm.ci_lower, msm.ci_upper)
+    return msm, build_report(estimate, timepoints, curve_points)

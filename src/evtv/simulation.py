@@ -1,5 +1,6 @@
 """Cohort generation from the fully specified two-timepoint process, exact
-enumeration of the true risk ratio, and end-to-end replication experiments.
+enumeration of the true risk ratio, and end-to-end replication experiments
+whose estimates and intervals come from estimation.analyze_cohort.
 
 The generating process has a binary unmeasured confounder at each time
 point feeding both treatment and outcome, and a measured intermediate
@@ -19,7 +20,7 @@ targets.  Both are exposed and reported side by side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Literal, Optional
 
@@ -32,14 +33,12 @@ from .estimation import (
     Cohort,
     EstimationError,
     MsmResult,
-    bootstrap_ci,
+    analyze_cohort,
     cell_msm,
     check_replicates,
     cohort_cells,
-    percentile_ci,
-    resample_counts,
 )
-from .evalue import EffectEstimate, EValueReport, build_report
+from .evalue import EValueReport
 
 __all__ = [
     "SimulationParams",
@@ -49,7 +48,6 @@ __all__ = [
     "generate_cohort",
     "true_rr_mc",
     "true_rr_enumerate",
-    "analyze_cohort",
     "run_experiment",
     "run_replications",
 ]
@@ -270,30 +268,6 @@ class ExperimentRecord:
     report: EValueReport
 
 
-def analyze_cohort(
-    cohort: Cohort, bootstrap: int, seed: int, timepoints: int = 2, curve_points: int = 0
-) -> tuple[MsmResult, EValueReport]:
-    """Estimate a cohort's risk ratio and derive its E-value report.
-
-    One rr_cells call fits the cohort's cell counts (row 0) and those of
-    `bootstrap` resamples (resample_counts) under the same failure rules.
-    Returns (msm, report).
-    """
-    cells = cohort_cells(cohort)
-    counts = np.bincount(cells, minlength=N_CELLS)[None, :]
-    if bootstrap:
-        counts = np.vstack([counts, resample_counts(cells, bootstrap, seed)])
-    fit = rr_cells(counts)
-    msm = cell_msm(counts, fit, 0)
-    if bootstrap:
-        lo, hi = percentile_ci(fit[0][1:], fit[1][1:])
-        # a percentile interval from a finite resample can exclude the
-        # point estimate; widen to keep the report's CI well-formed
-        msm = replace(msm, ci_lower=min(lo, msm.rr_obs), ci_upper=max(hi, msm.rr_obs))
-    estimate = EffectEstimate("rr", msm.rr_obs, msm.ci_lower, msm.ci_upper)
-    return msm, build_report(estimate, timepoints, curve_points)
-
-
 def run_experiment(
     params: SimulationParams,
     seed: int,
@@ -358,9 +332,10 @@ def run_replications(
 
     Replication i derives its own cohort seed from (seed, replication
     domain, i), so the set of cohorts is deterministic and insensitive
-    to execution order.  Degenerate draws and estimation failures are
-    recorded per replication; more than 10 percent failing raises
-    EstimationError.
+    to execution order.  A bootstrapped replication's estimate and CI are
+    analyze_cohort's, with its cohort seed.  Degenerate draws and estimation
+    failures are recorded per replication; more than 10 percent failing
+    raises EstimationError.
     """
     seed = _rng.check_seed(seed)
     reps = check_size(replications, "replications", 1, "MAX_REPLICATIONS", MAX_REPLICATIONS)
@@ -375,29 +350,30 @@ def run_replications(
     for i, child in enumerate(seeds):
         cohort = generate_cohort(params, child)
         counts[i] = np.bincount(cohort_cells(cohort.observed), minlength=N_CELLS)
-        rr_true, interval, error = None, (None, None), None
+        rr_true, msm, error = None, None, None
         try:
+            # an undefined truth comes first, then a failed point estimate, then the bootstrap
             rr_true = true_rr_mc(cohort)
             if bootstrap_replicates:
-                interval = bootstrap_ci(cohort.observed, bootstrap_replicates, child)
+                msm = analyze_cohort(cohort.observed, bootstrap_replicates, child)[0]
         except (EstimationError, ValueError) as exc:
             error = str(exc)
-        drawn.append((rr_true, interval, error))
+        drawn.append((rr_true, msm, error))
     del cohort  # keep the last cohort out of the batched fit's peak memory
     fit = rr_cells(counts)
     results: list[ReplicationResult] = []
-    for i, (child, (rr_true, (lo, hi), error)) in enumerate(zip(seeds, drawn)):
-        try:
-            # an undefined truth comes first, then a failed point estimate
-            msm = cell_msm(counts, fit, i) if rr_true is not None else None
-        except EstimationError as exc:
-            error = str(exc)
+    for i, (child, (rr_true, msm, error)) in enumerate(zip(seeds, drawn)):
+        if msm is None and error is None:
+            try:
+                msm = cell_msm(counts, fit, i)
+            except EstimationError as exc:
+                error = str(exc)
         if error is not None:
             results.append(ReplicationResult(seed=child, true_rr_mc=rr_true, error=error))
             continue
         results.append(ReplicationResult(
             seed=child, true_rr_mc=rr_true, rr_obs=msm.rr_obs,
-            ci_lower=lo, ci_upper=hi, weight_mean=msm.weight_mean,
+            ci_lower=msm.ci_lower, ci_upper=msm.ci_upper, weight_mean=msm.weight_mean,
         ))
     failures = sum(r.error is not None for r in results)
     if failures * 10 > reps:

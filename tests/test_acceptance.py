@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from evtv import cli
+from evtv.estimation import analyze_cohort
 from evtv.evalue import (
     ConfounderStrength,
     EffectEstimate,
@@ -36,7 +37,6 @@ from evtv.evalue import (
 from evtv.report import read_cohort_csv, write_cohort_csv
 from evtv.simulation import (
     SimulationParams,
-    analyze_cohort,
     run_experiment,
     run_replications,
     true_rr_enumerate,

@@ -1,6 +1,7 @@
 """Tests for the weighting and MSM estimation layer: the cohort, the
-stabilized weights of _kernels.weight_cells gathered per subject, the
-estimate of analyze_cohort, and the bootstrap interval."""
+stabilized weights of _kernels.weight_cells gathered per subject, and the
+estimate and bootstrap interval of analyze_cohort."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +15,10 @@ from evtv.estimation import (
     MsmResult,
     PositivityViolation,
     WeightDiagnosticWarning,
-    bootstrap_ci,
+    analyze_cohort,
     cohort_cells,
 )
-from evtv.simulation import SimulationParams, analyze_cohort, generate_cohort
+from evtv.simulation import SimulationParams, generate_cohort
 
 from _per_row import OFF_CALIBRATION_ROWS, cohort_from_rows
 
@@ -188,60 +189,59 @@ class TestFitMsm:
 
 
 class TestBootstrapCi:
+    """The bootstrap interval of analyze_cohort."""
+
+    @staticmethod
+    def interval(cohort: Cohort, replicates: int, seed: int) -> tuple[float, float]:
+        msm = analyze_cohort(cohort, replicates, seed)[0]
+        return msm.ci_lower, msm.ci_upper
+
     def test_deterministic_for_fixed_seed(self):
         cohort = random_cohort(400, 16)
-        a = bootstrap_ci(cohort, replicates=200, seed=42)
-        b = bootstrap_ci(cohort, replicates=200, seed=42)
+        a = self.interval(cohort, replicates=200, seed=42)
+        b = self.interval(cohort, replicates=200, seed=42)
         assert a == b
 
     def test_seed_changes_interval(self):
         cohort = random_cohort(400, 16)
-        a = bootstrap_ci(cohort, replicates=200, seed=42)
-        b = bootstrap_ci(cohort, replicates=200, seed=43)
+        a = self.interval(cohort, replicates=200, seed=42)
+        b = self.interval(cohort, replicates=200, seed=43)
         assert a != b
 
     def test_interval_brackets_point_estimate(self):
         cohort = random_cohort(1000, 17)
-        lo, hi = bootstrap_ci(cohort, replicates=400, seed=0)
+        lo, hi = self.interval(cohort, replicates=400, seed=0)
         assert lo < estimate(cohort).rr_obs < hi
 
     def test_interval_stable_under_doubling(self):
         cohort = random_cohort(1000, 18)
-        lo1, hi1 = bootstrap_ci(cohort, replicates=1000, seed=3)
-        lo2, hi2 = bootstrap_ci(cohort, replicates=2000, seed=3)
+        lo1, hi1 = self.interval(cohort, replicates=1000, seed=3)
+        lo2, hi2 = self.interval(cohort, replicates=2000, seed=3)
         assert abs(lo1 - lo2) < 0.05
         assert abs(hi1 - hi2) < 0.05
 
     def test_too_few_replicates_rejected(self):
         cohort = random_cohort(200, 19)
         with pytest.raises(ValueError):
-            bootstrap_ci(cohort, replicates=99)
+            self.interval(cohort, replicates=99, seed=0)
 
     def test_fragile_cohort_raises(self):
-        # a single treated subject at time 0: about a third of resamples
-        # lose that arm entirely, far beyond the failure budget
-        rows = [(1, 1, 1, 1, 1)]
-        rng = np.random.default_rng(20)
-        for _ in range(5):
-            rows.append(
-                (
-                    int(rng.random() < 0.5),
-                    0,
-                    int(rng.random() < 0.5),
-                    int(rng.random() < 0.5),
-                    int(rng.random() < 0.5),
-                )
-            )
-        records = cohort_from_rows(rows)
-        with pytest.raises(BootstrapFailure) as info:
-            bootstrap_ci(records, replicates=200, seed=1)
+        # twelve subjects whose point estimate is usable, but most
+        # resamples lose an arm or separate, far beyond the failure budget
+        cells = (1, 2, 11, 13, 14, 15, 15, 26, 28, 28, 29, 31)
+        records = cohort_from_rows([[c >> bit & 1 for bit in (4, 3, 2, 1, 0)] for c in cells])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimate(records).rr_obs == pytest.approx(1.2864381680003907, rel=1e-12)
+            with pytest.raises(BootstrapFailure) as info:
+                analyze_cohort(records, 200, 1)
         # failures are counted by reason, in status-code order
         assert str(info.value).startswith(
-            "200 of 200 bootstrap replicates failed "
-            "(arm missing 112, singular 83, separated 5);"
+            "164 of 200 bootstrap replicates failed "
+            "(arm missing 23, singular 22, separated 104, degenerate 15);"
         )
 
     def test_bad_seed_rejected(self):
         cohort = random_cohort(200, 21)
         with pytest.raises(ValueError):
-            bootstrap_ci(cohort, replicates=100, seed=-1)
+            self.interval(cohort, replicates=100, seed=-1)

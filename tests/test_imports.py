@@ -1,10 +1,14 @@
 """Import boundary: the E-value commands run without numpy or the estimation
-stack, which load on first use.  Each check runs in a fresh interpreter,
-because this test process has long since imported everything."""
+stack, which load on first use, and `analyze` runs without the simulation
+harness.  Each check runs in a fresh interpreter, because this test process
+has long since imported everything."""
 import json
 import subprocess
 import sys
 import textwrap
+
+from evtv.report import write_cohort_csv
+from evtv.simulation import SimulationParams, generate_cohort
 
 # loaded only by estimation and simulation names and commands
 HEAVY = ["numpy", "evtv.estimation", "evtv.simulation", "evtv._kernels"]
@@ -60,6 +64,26 @@ def test_e_value_commands_load_no_numpy():
         assert (what, code, loaded) == (what, 0, [])
     # the same check sees the stack once a command needs it
     assert simulate[1:] == [0, HEAVY]
+
+
+def test_analyze_loads_estimation_not_simulation(tmp_path):
+    # the one estimation driver lives in `estimation`; analyzing observed
+    # data has no use for the simulation harness
+    path = tmp_path / "cohort.csv"
+    path.write_text(write_cohort_csv(generate_cohort(SimulationParams(n=200), 1).observed))
+    code, loaded = run_fresh(
+        """
+        import contextlib, io, json, sys
+        import evtv.cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = evtv.cli.main(["analyze", "--input", sys.argv[2], "--bootstrap", "0"])
+        print(json.dumps([code, [m for m in json.loads(sys.argv[1]) if m in sys.modules]]))
+        """,
+        json.dumps(HEAVY),
+        str(path),
+    )
+    assert (code, loaded) == (0, ["numpy", "evtv.estimation", "evtv._kernels"])
 
 
 def test_star_import_binds_all():

@@ -55,7 +55,8 @@ def resample_counts(cells: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def bootstrap_counts(n: int, seed: int, reps: int) -> np.ndarray:
-    """Cell counts of bootstrap_ci's resamples of generate_cohort(n, seed)."""
+    """Cell counts of the resamples that analyze_cohort(cohort, reps, seed)
+    draws (estimation.resample_counts), cohort = generate_cohort(n, seed)."""
     cells = cohort_cells(generate_cohort(SimulationParams(n=n), seed).observed)
     idx = [
         _rng.stream(seed, _rng.BOOTSTRAP_DOMAIN, r).integers(0, n, size=n)

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from evtv import _rng
-from evtv.estimation import EstimationError
+from evtv.estimation import EstimationError, analyze_cohort
 from evtv.simulation import (
     REGIMES,
     GeneratedCohort,
     SimulationParams,
-    analyze_cohort,
     generate_cohort,
     run_experiment,
     run_replications,
@@ -226,14 +225,16 @@ class TestRunReplications:
         assert [r.rr_obs for r in a] == [r.rr_obs for r in b]
         assert all(r.error is None for r in a)
 
-    def test_batch_matches_single_cohort_analysis(self):
-        p = SimulationParams(n=1000)
-        results = run_replications(p, 7, 20)
+    @pytest.mark.parametrize("bootstrap, n, reps", [(0, 1000, 20), (100, 300, 5)])
+    def test_batch_matches_single_cohort_analysis(self, bootstrap, n, reps):
+        # every replication reports what analyze_cohort reports for its cohort and seed
+        p = SimulationParams(n=n)
+        results = run_replications(p, 7, reps, bootstrap)
         for i, r in enumerate(results):
             assert r.seed == _rng.child_seed(7, _rng.REPLICATION_DOMAIN, i)
-            msm = analyze_cohort(generate_cohort(p, r.seed).observed, 0, 0)[0]
-            assert r.rr_obs == msm.rr_obs
-            assert r.weight_mean == msm.weight_mean
+            msm = analyze_cohort(generate_cohort(p, r.seed).observed, bootstrap, r.seed)[0]
+            assert (r.rr_obs, r.ci_lower, r.ci_upper, r.weight_mean) == (
+                msm.rr_obs, msm.ci_lower, msm.ci_upper, msm.weight_mean)
 
     def test_master_seed_shifts_every_child(self):
         p = SimulationParams(n=200)
