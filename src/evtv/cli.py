@@ -25,7 +25,6 @@ from .evalue import (
     build_report,
     check_curve_limit,
     check_curve_points,
-    check_timepoints,
     normalize_estimate,
     tradeoff_curve,
 )
@@ -97,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bootstrap", type=int, default=1000,
                    help="bootstrap replicates for the CI; 0 skips it (default 1000)")
     p.add_argument("--seed", type=int, help=f"RNG seed (default: ${_SEED_ENV} or 0)")
-    p.add_argument("--timepoints", type=int, default=2)
     p.add_argument("--curve", type=int, metavar="N",
                    help="include an N-point trade-off curve in the report")
     p.add_argument("--out", metavar="PATH")
@@ -126,17 +124,18 @@ def _estimate_from_args(args) -> EffectEstimate:
     )
 
 
-def _curve_points(args) -> int:
-    if args.curve is None:
+def _curve_points(curve: Optional[int], timepoints: int = 2) -> int:
+    if curve is None:
         return 0
-    if args.timepoints != 2:
+    if timepoints != 2:
         print("note: trade-off curves exist only for two time points; omitting", file=sys.stderr)
         return 0
-    return check_curve_points(args.curve)
+    return check_curve_points(curve)
 
 
 def _cmd_evalue(args) -> str:
-    rep = build_report(_estimate_from_args(args), args.timepoints, _curve_points(args))
+    rep = build_report(_estimate_from_args(args), args.timepoints,
+                       _curve_points(args.curve, args.timepoints))
     if args.human:
         return _human_summary(rep)
     return report.write_report_json(rep)
@@ -209,8 +208,6 @@ def _cmd_simulate(args) -> str:
 
     params = _parse_overrides(args.param, args.n)
     seed = _resolve_seed(args)
-    if args.reps < 1:
-        raise ValueError("--reps must be >= 1")
     if args.reps == 1:
         record = simulation.run_experiment(params, seed, args.bootstrap)
         if args.cohort_out:
@@ -231,14 +228,12 @@ def _cmd_simulate(args) -> str:
 def _cmd_analyze(args) -> str:
     from . import _rng, estimation
 
-    # refuse out-of-range sizes, time points and a bad seed before reading the file
-    check_timepoints(args.timepoints)
-    points = _curve_points(args)
-    if args.bootstrap:
-        estimation.check_replicates(args.bootstrap)
+    # refuse out-of-range sizes and a bad seed before reading the file
+    points = _curve_points(args.curve)
+    bootstrap = estimation.check_replicates(args.bootstrap)
     seed = _rng.check_seed(_resolve_seed(args))
     cohort = report.read_cohort_csv(args.input)
-    msm, rep = estimation.analyze_cohort(cohort, args.bootstrap, seed, args.timepoints, points)
+    msm, rep = estimation.analyze_cohort(cohort, bootstrap, seed, curve_points=points)
     return report.write_analysis_json(msm, rep)
 
 

@@ -158,7 +158,10 @@ MAX_BOOTSTRAP_REPLICATES = 200_000
 
 
 def check_replicates(replicates: int) -> int:
-    """A bootstrap replicate count as an int, from 100 to MAX_BOOTSTRAP_REPLICATES."""
+    """A bootstrap replicate count as an int: 0, for no interval, or from 100
+    to MAX_BOOTSTRAP_REPLICATES."""
+    if replicates == 0:
+        return 0
     return check_size(replicates, "replicates", 100,
                       "MAX_BOOTSTRAP_REPLICATES", MAX_BOOTSTRAP_REPLICATES)
 
@@ -197,9 +200,10 @@ def percentile_ci(rr: np.ndarray, status: np.ndarray) -> tuple[float, float]:
 
 
 def analyze_cohort(
-    cohort: Cohort, bootstrap: int, seed: int, timepoints: int = 2, curve_points: int = 0
+    cohort: Cohort, bootstrap: int, seed: int, *, curve_points: int = 0
 ) -> tuple[MsmResult, EValueReport]:
-    """Estimate a cohort's risk ratio and derive its E-value report.
+    """Estimate a cohort's risk ratio and derive its E-value report for the
+    cohort's two time points.
 
     One rr_cells call fits the cohort's cell counts (row 0) and those of
     `bootstrap` resamples (resample_counts) under the same failure rules.
@@ -217,4 +221,4 @@ def analyze_cohort(
         # point estimate; widen to keep the report's CI well-formed
         msm = replace(msm, ci_lower=min(lo, msm.rr_obs), ci_upper=max(hi, msm.rr_obs))
     estimate = EffectEstimate("rr", msm.rr_obs, msm.ci_lower, msm.ci_upper)
-    return msm, build_report(estimate, timepoints, curve_points)
+    return msm, build_report(estimate, 2, curve_points)

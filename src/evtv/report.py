@@ -118,9 +118,10 @@ def read_cohort_csv(source: Union[str, IO[str]]) -> Cohort:
     """Parse a cohort CSV file or text stream into a Cohort, preserving
     file order; a stream is read to its end and left open.
 
-    The header must contain l0, a0, l1, a1, y (case-insensitive, any
-    order); extra columns are ignored with a warning.  Cells must be the
-    integers 0 or 1.  Row numbers in errors count the header as row 1.
+    The header must name l0, a0, l1, a1, y once each (case-insensitive,
+    any order); extra columns are ignored with a warning.  Every row has
+    one cell per header name, and cells must be the integers 0 or 1.
+    Row numbers in errors count the header as row 1.
     A body in write_cohort_csv's layout (one-character cells, "\n" line
     ends) is parsed in one vectorised pass, any other body row by row.
     """
@@ -143,6 +144,9 @@ def read_cohort_csv(source: Union[str, IO[str]]) -> Cohort:
     missing = [c for c in COHORT_COLUMNS if c not in names]
     if missing:
         raise MissingColumn(f"cohort CSV is missing columns: {', '.join(missing)}")
+    twice = [c for c in COHORT_COLUMNS if names.count(c) > 1]
+    if twice:
+        raise ValueError(f"cohort CSV repeats column {twice[0]}")
     extra = [h for h in names if h not in COHORT_COLUMNS]
     if extra:
         warnings.warn(f"ignoring extra cohort CSV columns: {', '.join(extra)}", stacklevel=2)
@@ -158,7 +162,7 @@ def read_cohort_csv(source: Union[str, IO[str]]) -> Cohort:
             return Cohort(*(grid[:, 2 * p] for p in positions))
     values = bytearray()
     for rownum, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-        if len(row) < len(names):
+        if len(row) != len(names):
             raise ValueError(f"row {rownum}: expected {len(names)} cells, got {len(row)}")
         for col, pos in zip(COHORT_COLUMNS, positions):
             cell = row[pos].strip()

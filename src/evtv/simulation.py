@@ -281,10 +281,7 @@ def run_experiment(
     the interval.  Fully deterministic given (params, seed).
     """
     seed = _rng.check_seed(seed)
-    if bootstrap_replicates < 0:
-        raise ValueError("bootstrap_replicates must be >= 0")
-    if bootstrap_replicates:
-        check_replicates(bootstrap_replicates)
+    check_replicates(bootstrap_replicates)
     cohort = generate_cohort(params, seed)
     rr_true = true_rr_mc(cohort)
     msm, report = analyze_cohort(cohort.observed, bootstrap_replicates, seed)
@@ -341,9 +338,8 @@ def run_replications(
     reps = check_size(replications, "replications", 1, "MAX_REPLICATIONS", MAX_REPLICATIONS)
     # surface a bad bootstrap setting directly instead of letting it
     # masquerade as a failure of every replication
-    if bootstrap_replicates:
-        check_replicates(bootstrap_replicates)
-    # keep each replication's cell counts, not its cohort; one rr_cells call fits them all
+    bootstrap = check_replicates(bootstrap_replicates)
+    # keep each replication's cell counts, not its cohort; unbootstrapped, one rr_cells fits all
     seeds = [_rng.child_seed(seed, _rng.REPLICATION_DOMAIN, i) for i in range(reps)]
     counts = np.empty((reps, N_CELLS))
     drawn = []
@@ -354,13 +350,13 @@ def run_replications(
         try:
             # an undefined truth comes first, then a failed point estimate, then the bootstrap
             rr_true = true_rr_mc(cohort)
-            if bootstrap_replicates:
-                msm = analyze_cohort(cohort.observed, bootstrap_replicates, child)[0]
+            if bootstrap:
+                msm = analyze_cohort(cohort.observed, bootstrap, child)[0]
         except (EstimationError, ValueError) as exc:
             error = str(exc)
         drawn.append((rr_true, msm, error))
     del cohort  # keep the last cohort out of the batched fit's peak memory
-    fit = rr_cells(counts)
+    fit = None if bootstrap else rr_cells(counts)
     results: list[ReplicationResult] = []
     for i, (child, (rr_true, msm, error)) in enumerate(zip(seeds, drawn)):
         if msm is None and error is None:

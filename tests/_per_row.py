@@ -82,6 +82,9 @@ def read_cohort_rows(source):
         missing = [c for c in COHORT_COLUMNS if c not in names]
         if missing:
             raise MissingColumn(f"cohort CSV is missing columns: {', '.join(missing)}")
+        twice = [c for c in COHORT_COLUMNS if names.count(c) > 1]
+        if twice:
+            raise ValueError(f"cohort CSV repeats column {twice[0]}")
         extra = [h for h in names if h not in COHORT_COLUMNS]
         if extra:
             warnings.warn(
@@ -92,7 +95,7 @@ def read_cohort_rows(source):
         positions = [names.index(c) for c in COHORT_COLUMNS]
         rows = []
         for rownum, row in enumerate(reader, start=2):
-            if len(row) < len(names):
+            if len(row) != len(names):
                 raise ValueError(
                     f"row {rownum}: expected {len(names)} cells, got {len(row)}"
                 )

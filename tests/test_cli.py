@@ -312,6 +312,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("bootstrap, message", [
         ("50", "replicates must be >= 100, got 50"),
+        ("-1", "replicates must be >= 100, got -1"),
         (str(MAX_BOOTSTRAP_REPLICATES + 1), "replicates must be <= MAX_BOOTSTRAP_REPLICATES"),
     ])
     def test_bootstrap_checked_before_drawing(self, capsys, monkeypatch, bootstrap, message):
@@ -336,6 +337,13 @@ class TestSimulateCommand:
         assert code == 0
         assert len(read_cohort_csv(str(path))) == 80
         assert json.loads(out)["params"]["n"] == 80
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_reps_below_one_exits_2(self, capsys, reps):
+        code, out, err = run_cli(capsys, "simulate", "--n", "60", "--bootstrap", "0",
+                                 "--reps", reps)
+        assert (code, out) == (2, "")
+        assert err == f"error: replications must be >= 1, got {reps}\n"
 
     def test_cohort_out_with_replications_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -458,8 +466,8 @@ class TestAnalyzeCommand:
         (["--bootstrap", "50"], "replicates must be >= 100, got 50"),
         (["--bootstrap", str(MAX_BOOTSTRAP_REPLICATES + 1)],
          "replicates must be <= MAX_BOOTSTRAP_REPLICATES"),
-        (["--timepoints", "0"], "timepoints must be >= 1, got 0"),
-        (["--timepoints", "0", "--curve", "5"], "timepoints must be >= 1, got 0"),
+        (["--bootstrap", "-1"], "replicates must be >= 100, got -1"),
+        (["--bootstrap", "99"], "replicates must be >= 100, got 99"),
         (["--bootstrap", "0", "--seed", "-1"],
          "seed must fit in an unsigned 64-bit integer, got -1"),
         (["--bootstrap", "100", "--seed", str(2**64)],
@@ -473,6 +481,17 @@ class TestAnalyzeCommand:
         code, out, err = run_cli(capsys, "analyze", "--input", "cohort.csv", *argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
+
+    def test_timepoints_flag_refused_before_reading(self, capsys, monkeypatch):
+        # the report is for the cohort's two time points; there is no flag to set them
+        def unread(source):
+            raise AssertionError(f"read {source} before parsing the flags")
+
+        monkeypatch.setattr(report, "read_cohort_csv", unread)
+        code, out, err = run_cli(capsys, "analyze", "--input", "cohort.csv",
+                                 "--timepoints", "2")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --timepoints 2" in err
 
     def test_seed_checked_before_reading(self, capsys, monkeypatch):
         def unread(source):

@@ -16,6 +16,7 @@ from evtv.estimation import (
     PositivityViolation,
     WeightDiagnosticWarning,
     analyze_cohort,
+    check_replicates,
     cohort_cells,
 )
 from evtv.simulation import SimulationParams, generate_cohort
@@ -245,3 +246,26 @@ class TestBootstrapCi:
         cohort = random_cohort(200, 21)
         with pytest.raises(ValueError):
             self.interval(cohort, replicates=100, seed=-1)
+
+
+class TestCheckReplicates:
+    """check_replicates is the one rule for a bootstrap replicate count."""
+
+    def test_zero_means_no_interval(self):
+        assert check_replicates(0) == 0
+
+    @pytest.mark.parametrize("count, message", [
+        (0.5, "replicates must be >= 100, got 0.5"),
+        (-1, "replicates must be >= 100, got -1"),
+        (99, "replicates must be >= 100, got 99"),
+    ])
+    def test_other_counts_from_100(self, count, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_replicates(count)
+
+    def test_report_is_for_two_timepoints(self):
+        # curve_points is keyword-only, so a stray positional count cannot become a curve
+        cohort = random_cohort(200, 22)
+        assert analyze_cohort(cohort, 0, 0)[1].timepoints == 2
+        with pytest.raises(TypeError):
+            analyze_cohort(cohort, 0, 0, 3)

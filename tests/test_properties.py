@@ -79,9 +79,10 @@ def test_cohort_csv_round_trip(rows):
 @st.composite
 def _mutated_cohort_csv(draw):
     """write_cohort_csv text of a drawn cohort, then any of: reordered or
-    upper-cased headers, an extra column, quoted or padded cells, a bad
-    cell, a short row, a row with another delimiter, CRLF ends, a BOM, a
-    trailing blank line or no final line end."""
+    upper-cased headers, an extra column (which may repeat a cohort
+    column's name), quoted or padded cells, a bad cell, a short row, a
+    long row, a row with another delimiter, CRLF ends, a BOM, a trailing
+    blank line or no final line end."""
     rows = draw(st.lists(st.tuples(_bit, _bit, _bit, _bit, _bit), min_size=0, max_size=30))
     text = write_cohort_csv(cohort_from_rows(rows)) if rows else "l0,a0,l1,a1,y\n"
     grid = [line.split(",") for line in text.splitlines()]
@@ -92,7 +93,7 @@ def _mutated_cohort_csv(draw):
         grid[0] = [h.upper() if draw(st.booleans()) else h for h in grid[0]]
     if draw(st.booleans()):
         at = draw(st.integers(0, 5))
-        name = draw(st.sampled_from(["site", "id", "Y2"]))
+        name = draw(st.sampled_from(["site", "id", "Y2", "y", "L1"]))
         cell = st.sampled_from(["0", "1", "s01", "", "12", "a b"])
         grid = [line[:at] + [name if i == 0 else draw(cell)] + line[at:]
                 for i, line in enumerate(grid)]
@@ -109,6 +110,9 @@ def _mutated_cohort_csv(draw):
     if len(grid) > 1 and draw(st.booleans()):
         i = draw(st.sampled_from(body))
         grid[i] = grid[i][:draw(st.integers(0, len(grid[i]) - 1))]
+    if len(grid) > 1 and draw(st.booleans()):
+        i = draw(st.sampled_from(body))
+        grid[i] = grid[i] + draw(st.lists(st.sampled_from(["0", "1", ""]), min_size=1, max_size=2))
     delimiters = [","] * len(grid)
     if len(grid) > 1 and draw(st.booleans()):
         delimiters[draw(st.sampled_from(body))] = draw(st.sampled_from(["-", ";", "\t"]))

@@ -2,6 +2,7 @@
 import dataclasses
 import io
 import json
+import warnings
 
 import pytest
 
@@ -85,6 +86,30 @@ class TestCohortCsv:
         text = "l0,a0,l1,a1,y\n0,0,0\n"
         with pytest.raises(ValueError, match="row 2"):
             read_cohort_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("body", ["1,0,1,0,1,1\n", "1,0,1,0,1,\n", '"1",0,1,0,1,1\n'])
+    def test_wide_row_rejected(self, body):
+        # on either parse path: the writer's layout, or row by row
+        text = "l0,a0,l1,a1,y\n" + body
+        with pytest.raises(ValueError, match="^row 2: expected 5 cells, got 6$"):
+            read_cohort_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("header, name", [
+        ("l0,a0,l1,a1,y,Y", "y"), ("A0,l0,a0,l1,a1,y", "a0"), ("l0,a0,l1,a1,y, l1 ", "l1"),
+    ])
+    def test_repeated_cohort_column_rejected(self, header, name):
+        # the writer's layout and a row-by-row body both fail before parsing
+        for body in ("1,0,1,0,1,0\n", '"1",0,1,0,1,0\n'):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^cohort CSV repeats column {name}$"):
+                    read_cohort_csv(io.StringIO(f"{header}\n{body}"))
+
+    def test_repeated_extra_column_allowed(self):
+        text = "l0,site,a0,l1,a1,y,site\n0,s1,0,0,0,1,s2\n"
+        with pytest.warns(UserWarning, match="^ignoring extra cohort CSV columns: site, site$"):
+            records = read_cohort_csv(io.StringIO(text))
+        assert cohort_rows(records) == [(0, 0, 0, 0, 1)]
 
     def test_empty_inputs(self):
         with pytest.raises(EmptyFile):

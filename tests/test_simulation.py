@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from evtv import _rng
+from evtv import _rng, simulation
+from evtv._kernels import rr_cells
 from evtv.estimation import EstimationError, analyze_cohort
 from evtv.simulation import (
     REGIMES,
@@ -211,7 +212,7 @@ class TestRunExperiment:
         assert a.report == b.report
 
     def test_negative_bootstrap_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^replicates must be >= 100, got -1$"):
             run_experiment(SimulationParams(n=100), 6, bootstrap_replicates=-1)
 
 
@@ -249,5 +250,25 @@ class TestRunReplications:
             run_replications(SimulationParams(n=4), 9, 20)
 
     def test_replication_count_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^replications must be >= 1, got 0$"):
             run_replications(SimulationParams(n=100), 10, 0)
+
+    def test_negative_bootstrap_rejected(self):
+        with pytest.raises(ValueError, match="^replicates must be >= 100, got -1$"):
+            run_replications(SimulationParams(n=100), 10, 2, -1)
+
+    @pytest.mark.parametrize("bootstrap, batched_fits", [(0, 1), (100, 0)])
+    def test_batched_fit_only_without_bootstrap(self, monkeypatch, bootstrap, batched_fits):
+        # a bootstrapped replication's estimate comes from its own analyze_cohort call
+        calls = []
+
+        def counted_rr_cells(counts):
+            if bootstrap:
+                raise AssertionError("fitted the batch of a bootstrapped study")
+            calls.append(counts.shape)
+            return rr_cells(counts)
+
+        monkeypatch.setattr(simulation, "rr_cells", counted_rr_cells)
+        results = run_replications(SimulationParams(n=200), 11, 3, bootstrap)
+        assert len(calls) == batched_fits
+        assert all(r.error is None for r in results)

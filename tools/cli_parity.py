@@ -23,9 +23,13 @@ for each command and exits 0 when no command differs, 1 otherwise.
 Without --rel-tol every byte must match; with it, the JSON of a
 successful `simulate` or `analyze` may differ only in floats within X
 (see `compare`).
-The second form writes CHECKOUT's results to tests/golden/ of the
-checkout holding this script, the corpus `tests/test_golden_cli.py`
-compares against.
+The second form adds CHECKOUT's results of the commands that
+tests/golden/ of the checkout holding this script does not hold yet, the
+corpus `tests/test_golden_cli.py` compares against.  It runs every
+command, as later ones read the CSVs earlier ones write, and leaves the
+recorded entries as they are.  It exits 2 if the corpus's commands are
+not the first commands of COMMANDS; to regenerate the whole corpus,
+remove tests/golden/ and record again.
 """
 from __future__ import annotations
 
@@ -168,23 +172,34 @@ def compare(command: str, expected: tuple, got: tuple, rel_tol: float) -> list[s
     return diff
 
 
-def write_golden(results: list[tuple]) -> None:
-    """Write results of COMMANDS as the golden corpus: index.json holds
-    each command with its exit code and CSV hash, NN.stdout and NN.stderr
-    its output bytes."""
+def golden_index() -> list[dict]:
+    """The golden corpus's index.json entries, [] without a corpus; a
+    ValueError unless their commands are the first commands of COMMANDS."""
+    path = GOLDEN / "index.json"
+    index = json.loads(path.read_text()) if path.exists() else []
+    if [entry["command"] for entry in index] != COMMANDS[:len(index)]:
+        raise ValueError(f"{GOLDEN} lists commands that do not start COMMANDS; "
+                         "remove it and rerun --record to regenerate it")
+    return index
+
+
+def write_golden(index: list[dict], results: list[tuple]) -> None:
+    """Add the results of the COMMANDS after the corpus's index entries
+    to the golden corpus: index.json holds each command with its exit
+    code and CSV hash, NN.stdout and NN.stderr its output bytes."""
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    index = []
-    for i, (command, (code, out, err, csv_hash)) in enumerate(zip(COMMANDS, results)):
+    for i in range(len(index), len(COMMANDS)):
+        code, out, err, csv_hash = results[i]
         (GOLDEN / f"{i:02d}.stdout").write_bytes(out)
         (GOLDEN / f"{i:02d}.stderr").write_bytes(err)
-        index.append({"command": command, "exit": code, "cohort_sha256": csv_hash})
+        index.append({"command": COMMANDS[i], "exit": code, "cohort_sha256": csv_hash})
     (GOLDEN / "index.json").write_text(json.dumps(index, indent=2) + "\n")
 
 
 def read_golden() -> list[tuple]:
     """The golden results in the order of COMMANDS, which the corpus must list."""
-    index = json.loads((GOLDEN / "index.json").read_text())
-    if [entry["command"] for entry in index] != COMMANDS:
+    index = golden_index()
+    if len(index) != len(COMMANDS):
         raise ValueError(f"{GOLDEN} does not hold the current COMMANDS; rerun --record")
     return [(entry["exit"], (GOLDEN / f"{i:02d}.stdout").read_bytes(),
              (GOLDEN / f"{i:02d}.stderr").read_bytes(), entry["cohort_sha256"])
@@ -193,7 +208,14 @@ def read_golden() -> list[tuple]:
 
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--record":
-        write_golden(run_all(Path(argv[1])))
+        try:
+            index = golden_index()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        recorded = len(index)
+        write_golden(index, run_all(Path(argv[1])))
+        print(f"recorded {len(COMMANDS) - recorded} of {len(COMMANDS)} commands")
         return 0
     rel_tol = 0.0
     if len(argv) == 4 and argv[2] == "--rel-tol":
