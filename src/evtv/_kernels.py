@@ -74,11 +74,12 @@ _MSM_GROUPS = _groups(_X_M, _Y)
 
 
 def cell_ids(l0, a0, l1, a1, y) -> np.ndarray:
-    """Cell index 0..31 of each subject's binary history."""
-    bits = (l0, a0, l1, a1, y)
-    out = np.zeros(np.shape(y), dtype=np.int64)
-    for b in bits:
-        out = 2 * out + np.asarray(b, dtype=np.int64)
+    """Cell index 0..31 of each subject's binary history, as uint8, one
+    byte per subject, built in place."""
+    out = np.zeros(np.shape(y), dtype=np.uint8)
+    for b in (l0, a0, l1, a1, y):
+        out <<= 1
+        out |= np.asarray(b, dtype=np.uint8)
     return out
 
 
@@ -118,9 +119,13 @@ def _chol_solve_batched(h, g):
 
 
 def expit(x):
-    """Plain logistic function 1 / (1 + exp(-x)); the cohort generator's
-    draws and the fitted probabilities depend on its exact bits."""
-    return 1.0 / (1.0 + np.exp(-x))
+    """Plain logistic function 1 / (1 + exp(-x)) of a float array, computed
+    in one new array; the cohort generator's draws and the fitted
+    probabilities depend on its exact bits."""
+    out = np.negative(x)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _expit(eta):

@@ -11,9 +11,11 @@ written as invalid JSON; two-decimal display is left to consumers.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
+import re
 import warnings
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Iterable, Literal, Optional, Union
@@ -120,23 +122,39 @@ def read_cohort_csv(source: Union[str, IO[str]]) -> Cohort:
 
     The header must name l0, a0, l1, a1, y once each (case-insensitive,
     any order); extra columns are ignored with a warning.  Every row has
-    one cell per header name, and cells must be the integers 0 or 1.
-    Row numbers in errors count the header as row 1.
-    A body in write_cohort_csv's layout (one-character cells, "\n" line
-    ends) is parsed in one vectorised pass, any other body row by row.
+    one cell per header name, and cells must be the integers 0 or 1;
+    empty rows are skipped.  Row numbers in errors count the header as
+    row 1.  The input is held once, as one UTF-8 byte buffer.  A body in
+    write_cohort_csv's layout (one-character cells, "\n" line ends) is
+    parsed in that buffer in one vectorised pass, any other body row by row.
     """
     import numpy as np
 
     from .estimation import Cohort
 
     if hasattr(source, "read"):
-        text = source.read()
+        data = np.frombuffer(source.read().encode(), dtype=np.uint8).copy()
     else:
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
-    lines = io.StringIO(text, newline="")
+        data = np.fromfile(source, dtype=np.uint8)
+        # a file is read as utf-8-sig: one leading byte order mark is dropped
+        if data[:3].tobytes() == codecs.BOM_UTF8:
+            data = data[3:]
+    # a line and its end, "\r\n", "\r", "\n" or none at the end of the text
+    # (compiled here, not at import, which the E-value commands also pay)
+    line_at = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)?").match
+    end = 0
+
+    def lines():
+        # the buffer's lines, split as a newline="" text stream splits
+        # them; end follows the bytes that csv.reader has taken
+        nonlocal end
+        while end < data.size:
+            line = line_at(data, end)
+            end = line.end()
+            yield line.group().decode("utf-8")
+
     try:
-        header = next(csv.reader(lines))
+        header = next(csv.reader(lines()))
     except StopIteration:
         raise EmptyFile("cohort CSV has no header row") from None
     # a byte order mark survives stream inputs decoded as plain utf-8
@@ -151,17 +169,22 @@ def read_cohort_csv(source: Union[str, IO[str]]) -> Cohort:
     if extra:
         warnings.warn(f"ignoring extra cohort CSV columns: {', '.join(extra)}", stacklevel=2)
     positions = [names.index(c) for c in COHORT_COLUMNS]
-    body = lines.read()
+    body = data[end:]
     # XOR with the layout "0,0,...,0\n" maps a "0"/"1" cell to 0/1 and a
-    # matching separator to 0; every other byte gives a value above 0 or 1
+    # matching separator to 0; every other byte gives a value above 0 or 1.
+    # It runs in place, and a second XOR restores the text.
     layout = np.frombuffer(("0," * len(names))[:-1].encode() + b"\n", dtype=np.uint8)
-    grid = np.frombuffer(body.encode(), dtype=np.uint8)
-    if grid.size and grid.size % layout.size == 0:
-        grid = grid.reshape(-1, layout.size) ^ layout
+    if body.size and body.size % layout.size == 0:
+        grid = body.reshape(-1, layout.size)
+        grid ^= layout
         if grid.max() <= 1 and not grid[:, 1::2].any():
             return Cohort(*(grid[:, 2 * p] for p in positions))
+        grid ^= layout
     values = bytearray()
-    for rownum, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+    rows = csv.reader(io.StringIO(str(body, "utf-8"), newline=""))
+    for rownum, row in enumerate(rows, start=2):
+        if not row:
+            continue
         if len(row) != len(names):
             raise ValueError(f"row {rownum}: expected {len(names)} cells, got {len(row)}")
         for col, pos in zip(COHORT_COLUMNS, positions):
@@ -175,13 +198,18 @@ def read_cohort_csv(source: Union[str, IO[str]]) -> Cohort:
 
 
 def write_cohort_csv(cohort: Cohort) -> str:
-    """Serialize a cohort to CSV text; inverse of read_cohort_csv."""
+    """Serialize a cohort to CSV text; inverse of read_cohort_csv.  The
+    header and rows are filled into one byte buffer, decoded once."""
     import numpy as np
 
-    grid = np.full((len(cohort), 2 * len(COHORT_COLUMNS)), ord(","), dtype=np.uint8)
-    grid[:, ::2] = np.column_stack(cohort.columns) + ord("0")
+    header = (",".join(COHORT_COLUMNS) + "\n").encode()
+    buf = np.full(len(header) + len(cohort) * 2 * len(COHORT_COLUMNS), ord(","), dtype=np.uint8)
+    buf[:len(header)] = np.frombuffer(header, dtype=np.uint8)
+    grid = buf[len(header):].reshape(len(cohort), -1)
     grid[:, -1] = ord("\n")
-    return ",".join(COHORT_COLUMNS) + "\n" + grid.tobytes().decode("ascii")
+    for j, column in enumerate(cohort.columns):
+        np.add(column, ord("0"), out=grid[:, 2 * j])
+    return str(buf, "ascii")
 
 
 def _present(doc: dict) -> dict:

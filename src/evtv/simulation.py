@@ -61,8 +61,10 @@ L1Source = Literal["intervened", "observed"]
 _TAG_U0, _TAG_L0, _TAG_A0, _TAG_U1, _TAG_L1, _TAG_A1 = range(6)
 _TAG_PO = 6  # tags 6..9 hold the four potential-outcome draws
 
-# size caps, checked before allocating (exit 2, not a MemoryError); peaks from tracemalloc, scaled
-MAX_COHORT_SIZE = 10_000_000  # `simulate`: ~120 B per subject, ~1.2 GB at the cap
+# size caps, checked before allocating (exit 2, not a MemoryError).  A `simulate
+# --cohort-out` process peaks ~38 B per subject above its n=1000 peak, 342 MiB at
+# the cap (tools/peak_rss.py); a study's figure is tracemalloc's, scaled
+MAX_COHORT_SIZE = 10_000_000
 MAX_REPLICATIONS = 100_000  # ~2.3 KB per replication plus one cohort, ~230 MB
 
 
@@ -140,7 +142,7 @@ class GeneratedCohort:
         o, po, n = self.observed, self.potential_outcomes, len(self.observed)
         if po.shape != (n, 4) or self.u0.shape != (n,) or self.u1.shape != (n,):
             raise ValueError("cohort arrays do not match the record count")
-        bad = np.flatnonzero(o.y != po[np.arange(n), 2 * o.a0 + o.a1])
+        bad = np.flatnonzero(o.y != _received(po, o.a0, o.a1))
         if bad.size:
             raise ValueError(
                 f"record {bad[0]} violates consistency: observed outcome differs "
@@ -149,6 +151,12 @@ class GeneratedCohort:
 
     def regime_outcomes(self, a0: int, a1: int) -> np.ndarray:
         return self.potential_outcomes[:, 2 * a0 + a1]
+
+
+def _received(po: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    # each subject's potential outcome under the treatments it received,
+    # po[i, 2 * a0[i] + a1[i]], chosen column by column without an index array
+    return np.where(a0, np.where(a1, po[:, 3], po[:, 2]), np.where(a1, po[:, 1], po[:, 0]))
 
 
 def generate_cohort(params: SimulationParams, seed: int) -> GeneratedCohort:
@@ -169,21 +177,23 @@ def generate_cohort(params: SimulationParams, seed: int) -> GeneratedCohort:
     # a logit below about -709 overflows exp to inf, and expit correctly
     # returns 0; the overflow is not worth a warning on stderr
     with np.errstate(over="ignore"):
-        u0 = (draws(_TAG_U0) < params.p_u0).astype(np.int64)
-        l0 = (draws(_TAG_L0) < params.p_l0).astype(np.int64)
+        # each 0/1 column is its boolean draw viewed as uint8; each
+        # probability is computed before its uniforms are drawn, so at most
+        # two float arrays of n are alive at a time
+        u0 = (draws(_TAG_U0) < params.p_u0).view(np.uint8)
+        l0 = (draws(_TAG_L0) < params.p_l0).view(np.uint8)
         c = params.a0_model
-        a0 = (draws(_TAG_A0) < expit(c[0] + c[1] * l0 + c[2] * u0)).astype(np.int64)
-        u1 = (draws(_TAG_U1) < params.p_u1).astype(np.int64)
+        a0 = (expit(c[0] + c[1] * l0 + c[2] * u0) > draws(_TAG_A0)).view(np.uint8)
+        u1 = (draws(_TAG_U1) < params.p_u1).view(np.uint8)
         c = params.l1_model
-        l1 = (draws(_TAG_L1) < expit(c[0] + c[1] * a0 + c[2] * l0)).astype(np.int64)
+        l1 = (expit(c[0] + c[1] * a0 + c[2] * l0) > draws(_TAG_L1)).view(np.uint8)
         c = params.a1_model
-        a1 = (draws(_TAG_A1) < expit(c[0] + c[1] * a0 + c[2] * l1 + c[3] * u1)).astype(np.int64)
+        a1 = (expit(c[0] + c[1] * a0 + c[2] * l1 + c[3] * u1) > draws(_TAG_A1)).view(np.uint8)
 
-        po = np.empty((n, 4), dtype=np.int64)
+        po = np.empty((n, 4), dtype=np.uint8)
         for j, (ra0, ra1) in enumerate(REGIMES):
-            p = expit(params.outcome_logit(ra0, ra1, l0, l1, u0, u1))
-            po[:, j] = draws(_TAG_PO + j) < p
-    observed = Cohort(l0, a0, l1, a1, po[np.arange(n), 2 * a0 + a1])
+            po[:, j] = expit(params.outcome_logit(ra0, ra1, l0, l1, u0, u1)) > draws(_TAG_PO + j)
+    observed = Cohort(l0, a0, l1, a1, _received(po, a0, a1))
     return GeneratedCohort(observed=observed, u0=u0, u1=u1, potential_outcomes=po)
 
 

@@ -12,7 +12,8 @@ roundoff.  `ungrouped_fits` fits each of the five models on all 32
 cells, as the stages did before each model was fitted on its distinct
 (design row, response) groups.  `read_cohort_rows` is the cohort CSV
 reader as the package ran it before the columnar `Cohort`: csv.reader
-and one row at a time.  `OFF_CALIBRATION_ROWS` is a shared fixture cohort.
+and one row at a time, empty rows skipped.  `OFF_CALIBRATION_ROWS` is a
+shared fixture cohort.
 """
 import csv
 import warnings
@@ -95,6 +96,8 @@ def read_cohort_rows(source):
         positions = [names.index(c) for c in COHORT_COLUMNS]
         rows = []
         for rownum, row in enumerate(reader, start=2):
+            if not row:
+                continue
             if len(row) != len(names):
                 raise ValueError(
                     f"row {rownum}: expected {len(names)} cells, got {len(row)}"

@@ -16,8 +16,10 @@ from evtv.estimation import (
     PositivityViolation,
     WeightDiagnosticWarning,
     analyze_cohort,
+    cell_msm,
     check_replicates,
     cohort_cells,
+    percentile_ci,
 )
 from evtv.simulation import SimulationParams, generate_cohort
 
@@ -246,6 +248,47 @@ class TestBootstrapCi:
         cohort = random_cohort(200, 21)
         with pytest.raises(ValueError):
             self.interval(cohort, replicates=100, seed=-1)
+
+
+class TestBoundaryRules:
+    """The bootstrap failure budget, the weight warning band and weight_max
+    at their boundaries, on synthetic replicates and one-row fits."""
+
+    @staticmethod
+    def msm(counts, sw) -> MsmResult:
+        # cell_msm of a usable one-row fit whose 32 cells have weights sw
+        fit = (np.array([2.0]), np.array([_kernels.REP_OK]), np.array([0.6]), np.array([0.3]),
+               np.asarray(sw, dtype=np.float64)[None, :])
+        return cell_msm(np.asarray(counts, dtype=np.float64)[None, :], fit, 0)
+
+    def test_failure_budget_is_ten_percent(self):
+        status = np.full(100, _kernels.REP_OK)
+        status[:10] = _kernels.REP_POSITIVITY
+        rr = np.where(status == _kernels.REP_OK, np.linspace(1.0, 2.0, 100), np.nan)
+        assert percentile_ci(rr, status) == tuple(np.percentile(rr[10:], [2.5, 97.5]))
+        status[10], rr[10] = _kernels.REP_SINGULAR, np.nan
+        with pytest.raises(BootstrapFailure, match=r"^11 of 100 bootstrap replicates failed "
+                           r"\(positivity 10, singular 1\);"):
+            percentile_ci(rr, status)
+
+    def test_weight_band_is_closed(self):
+        counts = np.zeros(_kernels.N_CELLS)
+        counts[5] = 1.0
+        for mean in (0.8, 1.2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert self.msm(counts, np.full(_kernels.N_CELLS, mean)).weight_mean == mean
+        for mean in (np.nextafter(0.8, 0.0), np.nextafter(1.2, 2.0)):
+            with pytest.warns(WeightDiagnosticWarning, match=r"outside \[0\.8, 1\.2\]"):
+                self.msm(counts, np.full(_kernels.N_CELLS, mean))
+
+    def test_weight_max_over_occupied_cells(self):
+        # an empty cell's weight is never a subject's, however large
+        counts = np.zeros(_kernels.N_CELLS)
+        counts[[3, 7]] = 2.0, 3.0
+        sw = np.ones(_kernels.N_CELLS)
+        sw[[3, 7, 20]] = 1.1, 0.95, 50.0
+        assert self.msm(counts, sw).weight_max == 1.1
 
 
 class TestCheckReplicates:

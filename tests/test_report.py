@@ -31,7 +31,7 @@ from evtv.report import (
 )
 from evtv.simulation import ReplicationResult, SimulationParams, run_experiment
 
-from _per_row import cohort_from_rows, cohort_rows
+from _per_row import cohort_from_rows, cohort_rows, read_cohort_rows
 
 ROWS = [
     (0, 1, 0, 0, 1),
@@ -110,6 +110,20 @@ class TestCohortCsv:
         with pytest.warns(UserWarning, match="^ignoring extra cohort CSV columns: site, site$"):
             records = read_cohort_csv(io.StringIO(text))
         assert cohort_rows(records) == [(0, 0, 0, 0, 1)]
+
+    @pytest.mark.parametrize("read", [
+        lambda source: cohort_rows(read_cohort_csv(source)), read_cohort_rows,
+    ], ids=["read_cohort_csv", "read_cohort_rows"])
+    def test_empty_rows_skipped(self, read):
+        for text in ("l0,a0,l1,a1,y\n0,1,0,1,1\n1,0,1,0,0\n\n",
+                     "l0,a0,l1,a1,y\r\n\r\n0,1,0,1,1\r\n\r\n1,0,1,0,0\r\n"):
+            assert read(io.StringIO(text)) == [(0, 1, 0, 1, 1), (1, 0, 1, 0, 0)]
+        # row numbers still count the empty rows
+        with pytest.raises(NonBinaryValue, match="^row 3, column l1: '2' is not 0 or 1$"):
+            read(io.StringIO("l0,a0,l1,a1,y\n\n0,0,2,0,1\n"))
+        for text in ("l0,a0,l1,a1,y\n\n", "l0,a0,l1,a1,y\n\n\r\n\n"):
+            with pytest.raises(EmptyFile, match="^cohort CSV has no data rows$"):
+                read(io.StringIO(text))
 
     def test_empty_inputs(self):
         with pytest.raises(EmptyFile):

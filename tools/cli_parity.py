@@ -11,9 +11,9 @@ in-process test, with everything already loaded, cannot see.
 The `analyze` commands cover both ways the cohort reader parses a body:
 files in the writer's layout (`simulate --cohort-out`, n = 1000 and
 100,000) and the FIXTURES written here, which are not in that layout
-(CRLF, quoted and padded cells, an extra column) or not valid.  One more
-fixture, a 12-subject cohort, takes `analyze` through a usable point
-estimate to a bootstrap that fails (exit 3).
+(CRLF, quoted and padded cells, an extra column, a trailing empty line)
+or not valid.  One more fixture, a 12-subject cohort, takes `analyze`
+through a usable point estimate to a bootstrap that fails (exit 3).
 
     python3 tools/cli_parity.py OLD_CHECKOUT NEW_CHECKOUT [--rel-tol X]
     python3 tools/cli_parity.py --record CHECKOUT
@@ -73,6 +73,7 @@ COMMANDS = [
     "analyze --input short_row.csv --bootstrap 0",
     "analyze --input missing_column.csv --bootstrap 0",
     "analyze --input fragile.csv --bootstrap 200 --seed 1",
+    "analyze --input trailing_blank.csv --bootstrap 0",
 ]
 
 FIELDS = ("exit code", "stdout", "stderr", "cohort CSV")
@@ -94,7 +95,7 @@ FRAGILE_CELLS = (1, 2, 11, 13, 14, 15, 15, 26, 28, 28, 29, 31)
 
 def fixtures() -> dict[str, bytes]:
     """Cohort CSV files by name: 400 seeded coin-flip subjects written in
-    ways the writer never uses, the first two valid, and the fragile
+    ways the writer never uses, the first three valid, and the fragile
     cohort of FRAGILE_CELLS."""
     rng = random.Random(20)
     rows = [[str(rng.randint(0, 1)) for _ in range(5)] for _ in range(400)]
@@ -106,6 +107,7 @@ def fixtures() -> dict[str, bytes]:
                for i, (l0, a0, l1, a1, y) in enumerate(rows)],
             "\r\n"),
         "bom.csv": "\ufeff".encode("utf-8") + _csv([header] + rows),
+        "trailing_blank.csv": _csv([header] + rows) + b"\n",
         "bad_cell.csv": _csv([header] + rows[:200] + [["0", "1", "2", "0", "1"]] + rows[200:]),
         "short_row.csv": _csv([header] + rows[:300] + [["0", "1", "0"]] + rows[300:]),
         "missing_column.csv": _csv([header[:2] + header[3:]] + [r[:2] + r[3:] for r in rows]),
