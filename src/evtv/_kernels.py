@@ -20,6 +20,8 @@ Each row's result depends only on that row.
 """
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 
 FIT_TOL = 1e-8
@@ -33,9 +35,8 @@ FIT_CONVERGED = 0
 FIT_MAXITER = 1
 FIT_SINGULAR = 2
 
-# pipeline statuses; OK and NOT_CONVERGED are usable, every higher code is a failure
+# pipeline statuses; OK is usable, every other code is a failure
 REP_OK = 0
-REP_NOT_CONVERGED = 1
 REP_ARM_MISSING = 2
 REP_POSITIVITY = 3
 REP_SINGULAR = 4
@@ -156,16 +157,16 @@ def _gram(v, x):
     return np.stack([np.sum(v * x[:, k], axis=1) for k in range(x.shape[1])], axis=1)
 
 
-def fit_batched(x, y, w, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
+def fit_batched(x, y, w):
     """Fit one logistic design under R weight vectors at once.
 
     x is the (m, d) design and y the (m,) binary response shared by all
     replicates; w is (R, m), one row of nonnegative weights per
     replicate.  Each row runs damped Newton on its weighted Bernoulli
     log-likelihood with its own convergence test (max |gradient| below
-    tol), step-halving that keeps the likelihood from decreasing (up to
-    30 halvings) and status; a replicate leaves the batch as soon as it
-    stops.  Returns
+    FIT_TOL), step-halving that keeps the likelihood from decreasing (up
+    to 30 halvings) and status; a replicate leaves the batch as soon as it
+    stops, at the latest after FIT_MAX_ITER steps.  Returns
     (beta (R, d), iterations (R,), max |gradient| (R,), status (R,)).
     """
     x = np.asarray(x, dtype=np.float64)
@@ -173,7 +174,7 @@ def fit_batched(x, y, w, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
     w = np.asarray(w, dtype=np.float64)
     reps, d = w.shape[0], x.shape[1]
     beta_out = np.zeros((reps, d))
-    iters = np.full(reps, max_iter, dtype=np.int64)
+    iters = np.full(reps, FIT_MAX_ITER, dtype=np.int64)
     gmax_out = np.zeros(reps)
     status = np.full(reps, FIT_MAXITER, dtype=np.int64)
     live = np.arange(reps)
@@ -181,7 +182,7 @@ def fit_batched(x, y, w, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
     eta = np.zeros(w.shape)
     ll = _loglik(w, y, eta)
 
-    for it in range(max_iter):
+    for it in range(FIT_MAX_ITER):
         if live.size == 0:
             break
         mu = _expit(eta)
@@ -196,7 +197,7 @@ def fit_batched(x, y, w, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
         step, solved = _chol_solve_batched(hess, grad)
         # each row's stop code if it takes no step: FIT_MAXITER means out
         # of halvings, and -1 marks a row that took one and stays live
-        stop = np.select([gmax < tol, ~solved], [FIT_CONVERGED, FIT_SINGULAR], FIT_MAXITER)
+        stop = np.select([gmax < FIT_TOL, ~solved], [FIT_CONVERGED, FIT_SINGULAR], FIT_MAXITER)
         # step-halving: every pending replicate tries scales 1, 1/2, ...;
         # an accepted trial replaces its row's iterate in place
         pending = np.flatnonzero(stop == FIT_MAXITER)
@@ -225,7 +226,7 @@ def fit_batched(x, y, w, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
         gmax = np.max(np.abs(_gram(w * (y - _expit(eta)), x)), axis=1)
         beta_out[live] = beta
         gmax_out[live] = gmax
-        status[live] = np.where(gmax < tol, FIT_CONVERGED, FIT_MAXITER)
+        status[live] = np.where(gmax < FIT_TOL, FIT_CONVERGED, FIT_MAXITER)
     return beta_out, iters, gmax_out, status
 
 
@@ -252,8 +253,8 @@ def weight_cells(counts):
     failed row and may be 0 or inf in an empty cell.  First match wins: a
     missing treatment arm, a singular fit, a coefficient beyond
     SEPARATION_BOUND, a fitted treatment probability below
-    POSITIVITY_FLOOR in an occupied cell, a fit stopped before
-    convergence (REP_NOT_CONVERGED, usable)."""
+    POSITIVITY_FLOOR in an occupied cell.  A fit stopped before
+    convergence (FIT_MAXITER) is usable."""
     c = np.asarray(counts, dtype=np.float64)
     n = c.sum(axis=1)
     treated = np.stack([c[:, _A0 == 1.0].sum(axis=1), c[:, _A1 == 1.0].sum(axis=1)])
@@ -269,12 +270,11 @@ def weight_cells(counts):
         np.any(fit_status == FIT_SINGULAR, axis=0),
         np.any([np.max(np.abs(f[0]), axis=1) > SEPARATION_BOUND for f in fits], axis=0),
         floor < POSITIVITY_FLOOR,
-        np.any(fit_status == FIT_MAXITER, axis=0),
-    ], [REP_SINGULAR, REP_SEPARATED, REP_POSITIVITY, REP_NOT_CONVERGED], REP_OK)
+    ], [REP_SINGULAR, REP_SEPARATED, REP_POSITIVITY], REP_OK)
     status = np.full(c.shape[0], REP_ARM_MISSING)
     status[live] = st
     sw = np.full(c.shape, np.nan)
-    sw[live[st <= REP_NOT_CONVERGED]] = sw_live[st <= REP_NOT_CONVERGED]
+    sw[live[st == REP_OK]] = sw_live[st == REP_OK]
     return sw, status
 
 
@@ -290,8 +290,8 @@ def outcome_cells(weights):
     always- and never-treated probabilities p11, p00 (NaN in a failed
     row) and status (R,).  First match wins: a constant outcome
     (separated), a singular fit, a coefficient beyond SEPARATION_BOUND, a
-    probability within BOUNDARY_FLOOR of 0 or 1 (degenerate), a fit
-    stopped before convergence (REP_NOT_CONVERGED, usable)."""
+    probability within BOUNDARY_FLOOR of 0 or 1 (degenerate).  A fit
+    stopped before convergence (FIT_MAXITER) is usable."""
     w = np.asarray(weights, dtype=np.float64)
     bm, _, _, st = _fit_groups(_MSM_GROUPS, w)
     with np.errstate(over="ignore"):
@@ -303,10 +303,9 @@ def outcome_cells(weights):
         st == FIT_SINGULAR,
         np.max(np.abs(bm), axis=1) > SEPARATION_BOUND,
         (lo < BOUNDARY_FLOOR) | (hi > 1.0 - BOUNDARY_FLOOR),
-        st == FIT_MAXITER,
-    ], [REP_SEPARATED, REP_SINGULAR, REP_SEPARATED, REP_DEGENERATE, REP_NOT_CONVERGED], REP_OK)
-    p11[status > REP_NOT_CONVERGED] = np.nan
-    p00[status > REP_NOT_CONVERGED] = np.nan
+    ], [REP_SEPARATED, REP_SINGULAR, REP_SEPARATED, REP_DEGENERATE], REP_OK)
+    p11[status != REP_OK] = np.nan
+    p00[status != REP_OK] = np.nan
     return p11, p00, status
 
 
@@ -316,13 +315,16 @@ def outcome_cells(weights):
 # plus its point estimate in one block
 BLOCK_ROWS = 1024
 
+# rr_cells' result: (R,) risk ratio, status, p11 and p00, and (R, 32) sw
+CellFit = collections.namedtuple("CellFit", "rr status p11 p00 sw")
+
 
 def rr_cells(counts):
     """Stabilized-weight IPW risk ratio for each row of cell counts.
 
     counts is (R, 32): row r holds how many subjects of replicate r fall
     in each cell (see cell_ids).  Runs weight_cells, then outcome_cells
-    on the weighted counts, BLOCK_ROWS rows at a time; returns
+    on the weighted counts, BLOCK_ROWS rows at a time; returns a CellFit
     (rr, status, p11, p00, sw) with rr, p11, p00 NaN in failed rows.  A
     constant outcome fails as separated, checked after the treatment arms
     and before the treatment fits.
@@ -331,8 +333,8 @@ def rr_cells(counts):
     if c.ndim != 2 or c.shape[1] != N_CELLS:
         raise ValueError(f"counts must have shape (R, {N_CELLS}), got {c.shape}")
     reps = c.shape[0]
-    out = (np.empty(reps), np.empty(reps, dtype=np.int64), np.empty(reps), np.empty(reps),
-           np.empty((reps, N_CELLS)))
+    out = CellFit(np.empty(reps), np.empty(reps, dtype=np.int64), np.empty(reps),
+                  np.empty(reps), np.empty((reps, N_CELLS)))
     for start in range(0, reps, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         for o, v in zip(out, _rr_block(np.asarray(c[rows], dtype=np.float64))):
@@ -344,12 +346,11 @@ def _rr_block(c):
     # rr_cells on one block of float counts
     sw, status = weight_cells(c)
     status[(status != REP_ARM_MISSING) & _constant_outcome(c)] = REP_SEPARATED
-    live = np.flatnonzero(status <= REP_NOT_CONVERGED)
+    live = np.flatnonzero(status == REP_OK)
     # an empty cell may have a fitted probability of exactly 0 or 1 and
     # so sw = inf; it must carry weight 0, not 0 * inf = NaN
     with np.errstate(invalid="ignore"):
         wm = np.where(c[live] > 0.0, c[live] * sw[live], 0.0)
     p11, p00 = np.full((2, c.shape[0]), np.nan)
-    p11[live], p00[live], st = outcome_cells(wm)
-    status[live] = np.where(st == REP_OK, status[live], st)
-    return p11 / p00, status, p11, p00, sw
+    p11[live], p00[live], status[live] = outcome_cells(wm)
+    return CellFit(p11 / p00, status, p11, p00, sw)

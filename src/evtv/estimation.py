@@ -129,17 +129,16 @@ def cohort_cells(cohort: Cohort) -> np.ndarray:
     return _kernels.cell_ids(*cohort.columns)
 
 
-def cell_msm(counts: np.ndarray, fit: tuple, r: int) -> MsmResult:
+def cell_msm(counts: np.ndarray, fit: _kernels.CellFit, r: int) -> MsmResult:
     """MsmResult of row r of fit = _kernels.rr_cells(counts); raises the
     row's error if its estimate failed, and warns with
     WeightDiagnosticWarning if the mean stabilized weight lies outside
     [0.8, 1.2]."""
-    _, status, p11, p00, sw = fit
-    failure = _FAILURES.get(int(status[r]))
+    failure = _FAILURES.get(int(fit.status[r]))
     if failure is not None:
         raise failure[0](failure[2])
     occupied = counts[r] > 0
-    w = sw[r][occupied]
+    w = fit.sw[r][occupied]
     weight_mean = float(np.sum(counts[r][occupied] * w) / np.sum(counts[r]))
     if not 0.8 <= weight_mean <= 1.2:
         warnings.warn(
@@ -148,7 +147,7 @@ def cell_msm(counts: np.ndarray, fit: tuple, r: int) -> MsmResult:
             WeightDiagnosticWarning,
             stacklevel=2,
         )
-    p11, p00 = float(p11[r]), float(p00[r])
+    p11, p00 = float(fit.p11[r]), float(fit.p00[r])
     return MsmResult(p11 / p00, p11, p00, weight_mean, float(np.max(w)))
 
 
@@ -184,7 +183,7 @@ def percentile_ci(rr: np.ndarray, status: np.ndarray) -> tuple[float, float]:
     """2.5 and 97.5 percentiles of the replicates that did not fail; more
     than 10 percent failing raises BootstrapFailure, which counts the
     failures by reason."""
-    kept = ~np.isin(status, tuple(_FAILURES))
+    kept = status == _kernels.REP_OK
     failures = status.shape[0] - int(kept.sum())
     if failures * 10 > status.shape[0]:
         tally = np.bincount(status, minlength=max(_FAILURES) + 1)
@@ -216,7 +215,7 @@ def analyze_cohort(
     fit = _kernels.rr_cells(counts)
     msm = cell_msm(counts, fit, 0)
     if bootstrap:
-        lo, hi = percentile_ci(fit[0][1:], fit[1][1:])
+        lo, hi = percentile_ci(fit.rr[1:], fit.status[1:])
         # a percentile interval from a finite resample can exclude the
         # point estimate; widen to keep the report's CI well-formed
         msm = replace(msm, ci_lower=min(lo, msm.rr_obs), ci_upper=max(hi, msm.rr_obs))

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from evtv import _kernels
+from evtv import _kernels, estimation
 from evtv.estimation import (
     BootstrapFailure,
     Cohort,
@@ -20,6 +20,7 @@ from evtv.estimation import (
     check_replicates,
     cohort_cells,
     percentile_ci,
+    resample_counts,
 )
 from evtv.simulation import SimulationParams, generate_cohort
 
@@ -249,16 +250,48 @@ class TestBootstrapCi:
         with pytest.raises(ValueError):
             self.interval(cohort, replicates=100, seed=-1)
 
+    def test_spread_matches_the_delta_method(self):
+        # a replicate is a multinomial draw of the 32 cell counts, so the SD
+        # of its log rr approaches the delta method's: Var = (sum p g^2 -
+        # (sum p g)^2) / n, p the cell shares and g = d log rr / d p from
+        # central differences of 1e-4 (rr is invariant to scaling the
+        # counts).  +-7% is about three standard errors of an SD from 1000
+        # replicates; a resampler drawing n/2 subjects reads ~1.41.
+        n, seed = 10_000, 3
+        cells = cohort_cells(random_cohort(n, seed))
+        counts = np.bincount(cells, minlength=_kernels.N_CELLS).astype(np.float64)
+        occupied = np.flatnonzero(counts > 0)
+        k = occupied.size
+        rows = np.repeat(counts[None, :], 1 + 2 * k, axis=0)
+        rows[1 + np.arange(k), occupied] += 1e-4 * n
+        rows[1 + k + np.arange(k), occupied] -= 1e-4 * n
+        fit = _kernels.rr_cells(rows)
+        assert np.all(fit.status == _kernels.REP_OK)
+        log_rr = np.log(fit.rr)
+        g = (log_rr[1 : 1 + k] - log_rr[1 + k :]) / 2e-4
+        p = counts[occupied] / n
+        delta_sd = np.sqrt((np.sum(p * g**2) - np.sum(p * g) ** 2) / n)
+        boot = _kernels.rr_cells(resample_counts(cells, 1000, seed))
+        assert np.all(boot.status == _kernels.REP_OK)
+        assert 0.93 <= np.std(np.log(boot.rr), ddof=1) / delta_sd <= 1.07
+
 
 class TestBoundaryRules:
-    """The bootstrap failure budget, the weight warning band and weight_max
-    at their boundaries, on synthetic replicates and one-row fits."""
+    """The failure statuses, the bootstrap failure budget, the weight
+    warning band and weight_max at their boundaries, on synthetic
+    replicates and one-row fits."""
+
+    def test_failure_table_names_every_failure_status(self):
+        # usable means REP_OK: a code missing here would pass cell_msm but
+        # be dropped by percentile_ci
+        codes = {v for k, v in vars(_kernels).items() if k.startswith("REP_")}
+        assert set(estimation._FAILURES) == codes - {_kernels.REP_OK}
 
     @staticmethod
     def msm(counts, sw) -> MsmResult:
         # cell_msm of a usable one-row fit whose 32 cells have weights sw
-        fit = (np.array([2.0]), np.array([_kernels.REP_OK]), np.array([0.6]), np.array([0.3]),
-               np.asarray(sw, dtype=np.float64)[None, :])
+        fit = _kernels.CellFit(np.array([2.0]), np.array([_kernels.REP_OK]), np.array([0.6]),
+                               np.array([0.3]), np.asarray(sw, dtype=np.float64)[None, :])
         return cell_msm(np.asarray(counts, dtype=np.float64)[None, :], fit, 0)
 
     def test_failure_budget_is_ten_percent(self):

@@ -16,7 +16,6 @@ from evtv._kernels import (
     FIT_SINGULAR,
     N_CELLS,
     REP_ARM_MISSING,
-    REP_NOT_CONVERGED,
     REP_OK,
     REP_SEPARATED,
     _chol_solve_batched,
@@ -70,7 +69,8 @@ def bootstrap_counts(n: int, seed: int, reps: int) -> np.ndarray:
 # per-row pipeline this engine replaced (one weight-and-fit run on the
 # n resampled rows of each replicate).  Statuses cover every code that
 # pipeline produced on these tiny cohorts; a search over 40,000 random
-# small cohorts never reached REP_POSITIVITY or REP_NOT_CONVERGED.
+# small cohorts never reached REP_POSITIVITY or a usable row with a fit
+# stopped at FIT_MAX_ITER.
 # ORACLE_RR keeps every tenth replicate and every replicate in the far
 # tails (rr above 1e3 or below 1e-3).
 ORACLE_STATUS = {
@@ -250,8 +250,12 @@ def solve_one(h, g):
 
 
 def fit_one(x, y, w, tol=_kernels.FIT_TOL, max_iter=_kernels.FIT_MAX_ITER):
-    """fit_batched on a single weight row: (beta, iterations, max |gradient|, status)."""
-    return tuple(v[0] for v in fit_batched(x, y, w[None, :], tol, max_iter))
+    """fit_batched on a single weight row, with FIT_TOL and FIT_MAX_ITER set
+    to tol and max_iter: (beta, iterations, max |gradient|, status)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "FIT_TOL", tol)
+        mp.setattr(_kernels, "FIT_MAX_ITER", max_iter)
+        return tuple(v[0] for v in fit_batched(x, y, w[None, :]))
 
 
 class TestCholSolve:
@@ -382,11 +386,13 @@ class TestFitBatched:
             assert np.allclose(beta[r], b, rtol=1e-9, atol=1e-12)
             assert g == pytest.approx(gmax[r], rel=1e-3, abs=1e-12)
 
-    def test_iteration_cap_and_separation_reported(self):
+    def test_iteration_cap_and_separation_reported(self, monkeypatch):
         x = np.column_stack([np.ones(4), [0.0, 0.0, 1.0, 1.0]])
         y = np.array([0.0, 1.0, 0.0, 1.0])
         w = np.array([[5.0, 3.0, 2.0, 6.0], [4.0, 0.0, 0.0, 4.0]])
-        beta, iterations, _, status = fit_batched(x, y, w, max_iter=1)
+        with monkeypatch.context() as mp:
+            mp.setattr(_kernels, "FIT_MAX_ITER", 1)
+            beta, iterations, _, status = fit_batched(x, y, w)
         assert list(status) == [FIT_MAXITER, FIT_MAXITER]
         assert list(iterations) == [1, 1]
         beta, _, _, status = fit_batched(x, y, w)
@@ -394,7 +400,7 @@ class TestFitBatched:
         assert np.abs(beta[1]).max() > _kernels.SEPARATION_BOUND
 
     @pytest.mark.parametrize("max_iter", [1, 2, _kernels.FIT_MAX_ITER])
-    def test_rows_stopping_together_are_each_written_as_fitted_alone(self, max_iter):
+    def test_rows_stopping_together_are_each_written_as_fitted_alone(self, monkeypatch, max_iter):
         # four rows stop in iteration 0: row 0 converged (zero gradient at
         # beta = 0), row 1 singular (its weights leave the slope
         # unidentified), row 2 out of halvings (a NaN weight makes every
@@ -405,7 +411,8 @@ class TestFitBatched:
         y = np.array([0.0, 0.0, 1.0, 1.0])
         w = np.array([[1.0, 1.0, 1.0, 1.0], [2.0, 0.0, 1.0, 0.0], [1.0, np.nan, 1.0, 1.0],
                       [0.0, 0.0, 0.0, 0.0], [5.0, 3.0, 2.0, 6.0]])
-        batch = fit_batched(x, y, w, max_iter=max_iter)
+        monkeypatch.setattr(_kernels, "FIT_MAX_ITER", max_iter)
+        batch = fit_batched(x, y, w)
         status, iterations = batch[3], batch[1]
         assert list(status[:4]) == [FIT_CONVERGED, FIT_SINGULAR, FIT_MAXITER, FIT_CONVERGED]
         assert list(iterations[:4]) == [0, 0, 0, 0]
@@ -465,8 +472,8 @@ class TestNumpyPipeline:
         rr, status, p11, p00, sw = rr_cells(counts)
         sw_alone, st_weights = weight_cells(counts)
         assert np.array_equal(sw, sw_alone, equal_nan=True)
-        live = np.flatnonzero((status == REP_OK) | (status == REP_NOT_CONVERGED))
-        assert np.all((st_weights[live] == REP_OK) | (st_weights[live] == REP_NOT_CONVERGED))
+        live = np.flatnonzero(status == REP_OK)
+        assert np.all(st_weights[live] == REP_OK)
         with np.errstate(invalid="ignore"):  # 0 * inf in empty cells
             wm = np.where(counts[live] > 0, counts[live] * sw[live], 0.0)
         q11, q00, _ = outcome_cells(wm)
@@ -516,7 +523,7 @@ class TestFrozenPipelineOracle:
         expected = ORACLE_STATUS[case]
         rr, status, *_ = rr_cells(bootstrap_counts(n, seed, len(expected)))
         assert "".join(str(s) for s in status) == expected
-        kept = (status == REP_OK) | (status == REP_NOT_CONVERGED)
+        kept = status == REP_OK
         assert np.all(np.isfinite(rr[kept])) and np.all(np.isnan(rr[~kept]))
         for r, value in ORACLE_RR.get(case, {}).items():
             rel = 1e-7 if value > ILL_CONDITIONED_RR else 1e-9
@@ -526,7 +533,7 @@ class TestFrozenPipelineOracle:
         # replicate 48 of this cohort leaves a cell empty whose fitted
         # treatment probability is exactly 0, so its stabilized weight is
         # inf; weighting it by its count (0 * inf = NaN) would poison the
-        # outcome fit and report rr = 1 as merely not converged
+        # outcome fit and report rr = 1 from a fit out of step halvings
         counts = bootstrap_counts(12, 1, 49)[48:]
         rr, status, *_ = rr_cells(counts)
         assert status[0] == REP_SEPARATED
@@ -598,7 +605,7 @@ class TestGroupedFits:
         # the weight stage
         counts = bootstrap_counts(*case, 300)
         sw, status = weight_cells(counts)
-        live = status <= REP_NOT_CONVERGED
+        live = status == REP_OK
         with np.errstate(invalid="ignore"):  # 0 * inf in empty cells
             w = np.where(counts[live] > 0, counts[live] * sw[live], 0.0)
         for got, want, (x, _), rows in zip(grouped_fits(counts, w), ungrouped_fits(counts, w),

@@ -140,6 +140,9 @@ def _read_outcome(read, source):
 
 @settings(max_examples=300, deadline=None)
 @given(_mutated_cohort_csv(), st.booleans())
+# in the writer's layout but for "-" separators, which the fast path's XOR
+# maps to 1, not 0; the random draws reach this only now and then
+@example("l0,a0,l1,a1,y\n0-1-0-1-0\n", False)
 def test_reader_matches_row_by_row_reference(text, from_path):
     """The columnar reader returns the reference reader's rows, or raises
     the same exception class with the same message, with the same

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from evtv import _rng, simulation
-from evtv._kernels import rr_cells
+from evtv._kernels import REP_POSITIVITY, rr_cells
 from evtv.estimation import EstimationError, analyze_cohort
 from evtv.simulation import (
     REGIMES,
@@ -272,3 +272,22 @@ class TestRunReplications:
         results = run_replications(SimulationParams(n=200), 11, 3, bootstrap)
         assert len(calls) == batched_fits
         assert all(r.error is None for r in results)
+
+    def test_failure_budget_is_ten_percent(self, monkeypatch):
+        def run(failed):
+            # the batched fit marks the first `failed` of 100 replications
+            # as positivity failures
+            def failing_rr_cells(counts):
+                fit = rr_cells(counts)
+                status = fit.status.copy()
+                status[:failed] = REP_POSITIVITY
+                return fit._replace(status=status)
+
+            monkeypatch.setattr(simulation, "rr_cells", failing_rr_cells)
+            return run_replications(SimulationParams(n=1000), 12, 100)
+
+        results = run(10)
+        assert len(results) == 100
+        assert sum(r.error is not None for r in results) == 10
+        with pytest.raises(EstimationError, match=r"^11 of 100 replications failed estimation$"):
+            run(11)
