@@ -8,13 +8,15 @@ holding this script).  For each mutant the tool copies the checkout to a
 temporary directory, applies the replacement, runs the tier-1 suite there
 with `-x` and prints `KILLED <first failing test>` or `SURVIVED`, then the
 reason: what the mutant breaks or, for a survivor, why it is believed to
-be equivalent on reachable inputs.  Run it on a checkout whose tier-1
-passes; the table takes about three minutes on two cores.
+be equivalent on reachable inputs.  The table takes about three minutes on
+two cores.
 
 Every old text must occur exactly once in its file, checked for the whole
 table before any mutant runs, so the table keeps up with the code; when one
-does not, the tool names it and exits 2.  Otherwise it exits 0, whatever
-survived.
+does not, the tool names it and exits 2.  Tier-1 then runs once on an
+unmutated copy: a failure there would be reported as every mutant KILLED,
+so the tool names the failing test and exits 2.  Otherwise it exits 0,
+whatever survived.
 """
 from __future__ import annotations
 
@@ -73,14 +75,16 @@ def check_table(checkout: Path) -> list[str]:
     return bad
 
 
-def run_mutant(checkout: Path, path: str, old: str, new: str) -> str:
-    """KILLED <first failing test> or SURVIVED for one mutant."""
+def run_mutant(checkout: Path, path: str | None, old: str = "", new: str = "") -> str:
+    """KILLED <first failing test> or SURVIVED for one mutant; path None
+    runs the unmutated copy."""
     with tempfile.TemporaryDirectory() as work:
         copy = Path(work) / "checkout"
         shutil.copytree(checkout, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
-        target = copy / path
-        target.write_text(target.read_text().replace(old, new))
+        if path is not None:
+            target = copy / path
+            target.write_text(target.read_text().replace(old, new))
         run = subprocess.run([sys.executable, *TIER1], cwd=copy, capture_output=True,
                              text=True, env=dict(os.environ, PYTHONPATH=str(copy / "src")))
     if run.returncode == 0:
@@ -98,6 +102,11 @@ def main(argv: list[str]) -> int:
     bad = check_table(checkout)
     if bad:
         print("stale mutant table:\n  " + "\n  ".join(bad), file=sys.stderr)
+        return 2
+    baseline = run_mutant(checkout, None)
+    if baseline != "SURVIVED":
+        print(f"tier-1 fails without a mutant: {baseline.replace('KILLED ', '')}",
+              file=sys.stderr)
         return 2
     for k, (path, old, new, reason) in enumerate(MUTANTS, start=1):
         outcome = run_mutant(checkout, path, old, new)

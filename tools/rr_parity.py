@@ -63,10 +63,8 @@ def _fit(rows_path: str, out_path: str) -> None:
     with np.load(rows_path) as rows:
         fits = {}
         for name in rows.files:
-            fit = _kernels.rr_cells(rows[name])
-            # a checkout from before CellFit returns a plain (rr, status, ...) tuple
-            fits[f"{name}.rr"], fits[f"{name}.status"] = (
-                (fit.rr, fit.status) if hasattr(fit, "rr") else fit[:2])
+            # by position, so that checkouts from before CellFit still compare
+            fits[f"{name}.rr"], fits[f"{name}.status"] = _kernels.rr_cells(rows[name])[:2]
     np.savez(out_path, **fits)
 
 
