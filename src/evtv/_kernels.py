@@ -84,6 +84,16 @@ def cell_ids(l0, a0, l1, a1, y) -> np.ndarray:
     return out
 
 
+def count_cells(cells) -> np.ndarray:
+    """(32,) int64 counts of uint8 cell ids, summed over SUBJECT_BLOCK ids
+    at a time, so bincount's intp copy of its input is one block long;
+    up to SUBJECT_BLOCK ids it is one bincount call."""
+    counts = np.bincount(cells[:SUBJECT_BLOCK], minlength=N_CELLS)
+    for start in range(SUBJECT_BLOCK, cells.shape[0], SUBJECT_BLOCK):
+        counts += np.bincount(cells[start:start + SUBJECT_BLOCK], minlength=N_CELLS)
+    return counts
+
+
 def _chol_solve_batched(h, g):
     # symmetric positive-definite solves of a stack, h (R, d, d), g (R, d),
     # with an explicit rank flag: a pivot at or below 1e-10 * (1 + |h_jj|)
@@ -314,6 +324,11 @@ def outcome_cells(weights):
 # are at most half as wide), and 1024 keeps a 1000-replicate bootstrap
 # plus its point estimate in one block
 BLOCK_ROWS = 1024
+
+# subjects per block of a cohort's generation, cell counts and CSV rows;
+# caps their float temporaries and buffers at a few block-long arrays,
+# and keeps a replication-sized cohort in one block
+SUBJECT_BLOCK = 1 << 14
 
 # rr_cells' result: (R,) risk ratio, status, p11 and p00, and (R, 32) sw
 CellFit = collections.namedtuple("CellFit", "rr status p11 p00 sw")

@@ -211,7 +211,9 @@ def _cmd_simulate(args) -> str:
     if args.reps == 1:
         record = simulation.run_experiment(params, seed, args.bootstrap)
         if args.cohort_out:
-            _write_text(args.cohort_out, report.write_cohort_csv(record.cohort.observed))
+            # block by block, as bytes: no whole-file text or buffer
+            with open(args.cohort_out, "wb") as fh:
+                fh.writelines(report._cohort_csv_blocks(record.cohort.observed))
         return report.write_experiment_json(record)
     if args.cohort_out:
         raise ValueError("--cohort-out requires a single replication")

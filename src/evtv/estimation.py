@@ -175,7 +175,7 @@ def resample_counts(cells: np.ndarray, replicates: int, seed: int) -> np.ndarray
     counts = np.empty((reps, _kernels.N_CELLS))
     for r in range(reps):
         idx = _rng.stream(seed, _rng.BOOTSTRAP_DOMAIN, r).integers(0, n, size=n)
-        counts[r] = np.bincount(cells[idx], minlength=_kernels.N_CELLS)
+        counts[r] = _kernels.count_cells(cells[idx])
     return counts
 
 
@@ -209,7 +209,7 @@ def analyze_cohort(
     Returns (msm, report).
     """
     cells = cohort_cells(cohort)
-    counts = np.bincount(cells, minlength=_kernels.N_CELLS)[None, :]
+    counts = _kernels.count_cells(cells)[None, :]
     if bootstrap:
         counts = np.vstack([counts, resample_counts(cells, bootstrap, seed)])
     fit = _kernels.rr_cells(counts)

@@ -18,7 +18,7 @@ import json
 import re
 import warnings
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Iterable, Literal, Optional, Union
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Literal, Optional, Union
 
 from . import __version__
 from .evalue import (
@@ -199,17 +199,27 @@ def read_cohort_csv(source: Union[str, IO[str]]) -> Cohort:
 
 def write_cohort_csv(cohort: Cohort) -> str:
     """Serialize a cohort to CSV text; inverse of read_cohort_csv.  The
-    header and rows are filled into one byte buffer, decoded once."""
+    text of _cohort_csv_blocks, decoded once."""
+    return str(b"".join(_cohort_csv_blocks(cohort)), "ascii")
+
+
+def _cohort_csv_blocks(cohort: Cohort) -> Iterator[bytes]:
+    """The cohort's CSV as bytes: the header, then the rows of each
+    _kernels.SUBJECT_BLOCK subjects, "\n"-terminated one-character cells,
+    filled into one reused block buffer."""
     import numpy as np
 
-    header = (",".join(COHORT_COLUMNS) + "\n").encode()
-    buf = np.full(len(header) + len(cohort) * 2 * len(COHORT_COLUMNS), ord(","), dtype=np.uint8)
-    buf[:len(header)] = np.frombuffer(header, dtype=np.uint8)
-    grid = buf[len(header):].reshape(len(cohort), -1)
-    grid[:, -1] = ord("\n")
-    for j, column in enumerate(cohort.columns):
-        np.add(column, ord("0"), out=grid[:, 2 * j])
-    return str(buf, "ascii")
+    from ._kernels import SUBJECT_BLOCK
+
+    yield (",".join(COHORT_COLUMNS) + "\n").encode()
+    n = len(cohort)
+    buf = np.full((min(n, SUBJECT_BLOCK), 2 * len(COHORT_COLUMNS)), ord(","), dtype=np.uint8)
+    buf[:, -1] = ord("\n")
+    for start in range(0, n, SUBJECT_BLOCK):
+        grid = buf[:min(n - start, SUBJECT_BLOCK)]
+        for j, column in enumerate(cohort.columns):
+            np.add(column[start:start + SUBJECT_BLOCK], ord("0"), out=grid[:, 2 * j])
+        yield grid.tobytes()
 
 
 def _present(doc: dict) -> dict:

@@ -26,8 +26,8 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from . import _rng
-from ._kernels import N_CELLS, expit, rr_cells
+from . import _kernels, _rng
+from ._kernels import N_CELLS, count_cells, expit, rr_cells
 from .errors import check_size
 from .estimation import (
     Cohort,
@@ -62,7 +62,7 @@ _TAG_U0, _TAG_L0, _TAG_A0, _TAG_U1, _TAG_L1, _TAG_A1 = range(6)
 _TAG_PO = 6  # tags 6..9 hold the four potential-outcome draws
 
 # size caps, checked before allocating (exit 2, not a MemoryError).  A `simulate
-# --cohort-out` process peaks ~38 B per subject above its n=1000 peak, 342 MiB at
+# --cohort-out` process peaks ~18 B per subject above its n=1000 peak, 208 MiB at
 # the cap (tools/peak_rss.py); a study's figure is tracemalloc's, scaled
 MAX_COHORT_SIZE = 10_000_000
 MAX_REPLICATIONS = 100_000  # ~2.3 KB per replication plus one cohort, ~230 MB
@@ -170,29 +170,32 @@ def generate_cohort(params: SimulationParams, seed: int) -> GeneratedCohort:
     """
     seed = _rng.check_seed(seed)
     n = params.n
-
-    def draws(tag: int) -> np.ndarray:
-        return _rng.stream(seed, _rng.COHORT_DOMAIN, tag).random(n)
-
+    streams = [_rng.stream(seed, _rng.COHORT_DOMAIN, tag) for tag in range(_TAG_PO + 4)]
+    u0, l0, a0, u1, l1, a1 = (np.empty(n, dtype=np.uint8) for _ in range(6))
+    po = np.empty((n, 4), dtype=np.uint8)
     # a logit below about -709 overflows exp to inf, and expit correctly
     # returns 0; the overflow is not worth a warning on stderr
     with np.errstate(over="ignore"):
-        # each 0/1 column is its boolean draw viewed as uint8; each
-        # probability is computed before its uniforms are drawn, so at most
-        # two float arrays of n are alive at a time
-        u0 = (draws(_TAG_U0) < params.p_u0).view(np.uint8)
-        l0 = (draws(_TAG_L0) < params.p_l0).view(np.uint8)
-        c = params.a0_model
-        a0 = (expit(c[0] + c[1] * l0 + c[2] * u0) > draws(_TAG_A0)).view(np.uint8)
-        u1 = (draws(_TAG_U1) < params.p_u1).view(np.uint8)
-        c = params.l1_model
-        l1 = (expit(c[0] + c[1] * a0 + c[2] * l0) > draws(_TAG_L1)).view(np.uint8)
-        c = params.a1_model
-        a1 = (expit(c[0] + c[1] * a0 + c[2] * l1 + c[3] * u1) > draws(_TAG_A1)).view(np.uint8)
-
-        po = np.empty((n, 4), dtype=np.uint8)
-        for j, (ra0, ra1) in enumerate(REGIMES):
-            po[:, j] = expit(params.outcome_logit(ra0, ra1, l0, l1, u0, u1)) > draws(_TAG_PO + j)
+        # the 0/1 columns are filled SUBJECT_BLOCK subjects at a time, each
+        # probability computed before its uniforms are drawn, so at most
+        # two block-long float arrays are alive at a time; a stream drawn
+        # in pieces gives the draws of one call (_rng), so no bit changes
+        for start in range(0, n, _kernels.SUBJECT_BLOCK):
+            b = slice(start, min(start + _kernels.SUBJECT_BLOCK, n))
+            k = b.stop - start
+            u0[b] = streams[_TAG_U0].random(k) < params.p_u0
+            l0[b] = streams[_TAG_L0].random(k) < params.p_l0
+            c = params.a0_model
+            a0[b] = expit(c[0] + c[1] * l0[b] + c[2] * u0[b]) > streams[_TAG_A0].random(k)
+            u1[b] = streams[_TAG_U1].random(k) < params.p_u1
+            c = params.l1_model
+            l1[b] = expit(c[0] + c[1] * a0[b] + c[2] * l0[b]) > streams[_TAG_L1].random(k)
+            c = params.a1_model
+            p = expit(c[0] + c[1] * a0[b] + c[2] * l1[b] + c[3] * u1[b])
+            a1[b] = p > streams[_TAG_A1].random(k)
+            for j, (ra0, ra1) in enumerate(REGIMES):
+                p = expit(params.outcome_logit(ra0, ra1, l0[b], l1[b], u0[b], u1[b]))
+                po[b, j] = p > streams[_TAG_PO + j].random(k)
     observed = Cohort(l0, a0, l1, a1, _received(po, a0, a1))
     return GeneratedCohort(observed=observed, u0=u0, u1=u1, potential_outcomes=po)
 
@@ -355,7 +358,7 @@ def run_replications(
     drawn = []
     for i, child in enumerate(seeds):
         cohort = generate_cohort(params, child)
-        counts[i] = np.bincount(cohort_cells(cohort.observed), minlength=N_CELLS)
+        counts[i] = count_cells(cohort_cells(cohort.observed))
         rr_true, msm, error = None, None, None
         try:
             # an undefined truth comes first, then a failed point estimate, then the bootstrap

@@ -20,12 +20,14 @@ from evtv._kernels import (
     REP_SEPARATED,
     _chol_solve_batched,
     cell_ids,
+    count_cells,
     fit_batched,
     outcome_cells,
     rr_cells,
     weight_cells,
 )
 from evtv.estimation import Cohort, cohort_cells
+from evtv.report import _cohort_csv_blocks, write_cohort_csv
 from evtv.simulation import SimulationParams, generate_cohort
 
 from _per_row import CELL_MODELS, _chol_solve, fit_logistic, per_row_rr, ungrouped_fits
@@ -514,6 +516,44 @@ class TestNumpyPipeline:
         bits = [np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]), np.array([0, 1, 1, 0]),
                 np.array([0, 0, 0, 1]), np.array([0, 1, 1, 1])]
         assert list(cell_ids(*bits)) == [0, 16 + 4 + 1, 8 + 4 + 1, 16 + 8 + 2 + 1]
+
+
+def under_subject_blocks(monkeypatch, n, run):
+    """(run() with _kernels.SUBJECT_BLOCK = 7, run() with one block of n)."""
+    results = []
+    for block in (7, n):
+        monkeypatch.setattr(_kernels, "SUBJECT_BLOCK", block)
+        results.append(run())
+    return results
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 22])
+class TestSubjectBlocks:
+    """Cohorts of n subjects in blocks of 7 (part of one block, one short
+    of a full block, a full one, one past it, one past three) against one
+    block holding them all."""
+
+    def test_generated_cohort_does_not_depend_on_blocks(self, monkeypatch, n):
+        blocked, whole = under_subject_blocks(
+            monkeypatch, n, lambda: generate_cohort(SimulationParams(n=n), 23))
+        for a, b in zip((blocked.u0, blocked.u1, blocked.potential_outcomes,
+                         *blocked.observed.columns),
+                        (whole.u0, whole.u1, whole.potential_outcomes, *whole.observed.columns)):
+            assert np.array_equal(a, b)
+
+    def test_count_cells_is_one_bincount(self, monkeypatch, n):
+        cells = np.random.default_rng(n).integers(0, N_CELLS, size=n).astype(np.uint8)
+        for counts in under_subject_blocks(monkeypatch, n, lambda: count_cells(cells)):
+            assert np.array_equal(counts, np.bincount(cells, minlength=N_CELLS))
+
+    def test_cohort_csv_blocks_join_to_the_text(self, monkeypatch, n):
+        cohort = generate_cohort(SimulationParams(n=n), 24).observed
+        (blocks, _), (_, text) = under_subject_blocks(
+            monkeypatch, n, lambda: (list(_cohort_csv_blocks(cohort)), write_cohort_csv(cohort)))
+        rows = np.column_stack(cohort.columns)
+        assert text == "l0,a0,l1,a1,y\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)
+        assert len(blocks) == 1 + -(-n // 7)  # the header, then each block's rows
+        assert b"".join(blocks) == text.encode()
 
 
 class TestFrozenPipelineOracle:

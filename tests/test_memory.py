@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 
 from evtv.estimation import analyze_cohort, cohort_cells
-from evtv.report import read_cohort_csv, write_cohort_csv
-from evtv.simulation import SimulationParams, generate_cohort
+from evtv.report import _cohort_csv_blocks, read_cohort_csv
+from evtv.simulation import SimulationParams, generate_cohort, run_experiment
 
 N = 200_000
 SEED = 3
-# bytes per subject, from measured peaks of 27, 17 and 9
-PEAK_BOUNDS = {"generate_cohort": 34, "read_cohort_csv": 21, "analyze_cohort": 11}
+# bytes per subject, from measured peaks of 18.2, 1.7, 17, 1.7 and 18.2; the
+# cohort file's write and the cell counts hold block-long buffers, not n-long
+PEAK_BOUNDS = {"generate_cohort": 23, "cohort_out": 2.1, "read_cohort_csv": 21,
+               "analyze_cohort": 2.1, "run_experiment": 23}
 
 
 def peak_per_subject(stage, n):
@@ -34,6 +36,12 @@ def peak_per_subject(stage, n):
     return result, (peak - base) / n
 
 
+def write_cohort_out(cohort, path):
+    """Write the cohort's CSV as `simulate --cohort-out` does."""
+    with open(path, "wb") as fh:
+        fh.writelines(_cohort_csv_blocks(cohort))
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """(generated cohort, the cohort read back from its CSV, peak per
@@ -42,10 +50,12 @@ def pipeline(tmp_path_factory):
     path = tmp_path_factory.mktemp("memory") / "cohort.csv"
     for n in (1000, N):
         generated, gen = peak_per_subject(lambda: generate_cohort(SimulationParams(n=n), SEED), n)
-        path.write_text(write_cohort_csv(generated.observed), encoding="utf-8")
+        _, out = peak_per_subject(lambda: write_cohort_out(generated.observed, path), n)
         cohort, read = peak_per_subject(lambda: read_cohort_csv(str(path)), n)
         _, fit = peak_per_subject(lambda: analyze_cohort(cohort, 0, SEED), n)
-    peaks = {"generate_cohort": gen, "read_cohort_csv": read, "analyze_cohort": fit}
+        _, run = peak_per_subject(lambda: run_experiment(SimulationParams(n=n), SEED, 0), n)
+    peaks = {"generate_cohort": gen, "cohort_out": out, "read_cohort_csv": read,
+             "analyze_cohort": fit, "run_experiment": run}
     return generated, cohort, peaks
 
 

@@ -9,11 +9,12 @@ first imported inside a command would add a stderr line that an
 in-process test, with everything already loaded, cannot see.
 
 The `analyze` commands cover both ways the cohort reader parses a body:
-files in the writer's layout (`simulate --cohort-out`, n = 1000 and
-100,000) and the FIXTURES written here, which are not in that layout
-(CRLF, quoted and padded cells, an extra column, a trailing empty line)
-or not valid.  One more fixture, a 12-subject cohort, takes `analyze`
-through a usable point estimate to a bootstrap that fails (exit 3).
+files in the writer's layout (`simulate --cohort-out`, n = 1000,
+100,000 and 32,769, two subject blocks and one subject) and the FIXTURES
+written here, which are not in that layout (CRLF, quoted and padded
+cells, an extra column, a trailing empty line) or not valid.  One more
+fixture, a 12-subject cohort, takes `analyze` through a usable point
+estimate to a bootstrap that fails (exit 3).
 
     python3 tools/cli_parity.py OLD_CHECKOUT NEW_CHECKOUT [--rel-tol X]
     python3 tools/cli_parity.py --record CHECKOUT
@@ -74,6 +75,9 @@ COMMANDS = [
     "analyze --input missing_column.csv --bootstrap 0",
     "analyze --input fragile.csv --bootstrap 200 --seed 1",
     "analyze --input trailing_blank.csv --bootstrap 0",
+    # 2 * SUBJECT_BLOCK + 1 subjects: generation, CSV blocks and counts across block edges
+    "simulate --n 32769 --bootstrap 0 --seed 5 --cohort-out edge.csv",
+    "analyze --input edge.csv --bootstrap 0",
 ]
 
 FIELDS = ("exit code", "stdout", "stderr", "cohort CSV")

@@ -48,6 +48,13 @@ MUTANTS = [
      "weight_max over every finite cell weight, empty cells included"),
     (SIMULATION, "if failures * 10 > reps:", "if failures * 10 >= reps:",
      "replication failure budget: exactly 10 percent failing raises"),
+    (SIMULATION, "b = slice(start, min(start + _kernels.SUBJECT_BLOCK, n))",
+     "b = slice(start, min(start + _kernels.SUBJECT_BLOCK - 1, n))",
+     "generate_cohort's block ends one subject early: that subject's draws go to the next"),
+    (KERNELS, "for start in range(SUBJECT_BLOCK, cells.shape[0], SUBJECT_BLOCK):",
+     "for start in range(SUBJECT_BLOCK, cells.shape[0] - cells.shape[0] % SUBJECT_BLOCK, "
+     "SUBJECT_BLOCK):",
+     "count_cells skips its last partial block of cell ids"),
     # the three below leave every status and rr bit unchanged on the 63,710
     # rows of tools/rr_parity.py's sets
     (KERNELS, "for _ in range(30):", "for _ in range(20):",

@@ -14,9 +14,14 @@ peak over the same command's at n = 1000 (FLOOR_N, the interpreter and
 its imports) divided by N - 1000; and whether the new checkout's CSV and
 JSON output match the old one's byte for byte.  Exits 1 if a command
 fails or an output differs.  Stdlib only; Linux reports ru_maxrss in KiB.
+
+A child's ru_maxrss starts at this process's own peak, which Linux carries
+into the child at exec, so the CSVs are compared by their sha256, read in
+chunks: holding them would floor a later command's peak at their size.
 """
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -43,15 +48,18 @@ FLOOR_N = 1000
 
 
 def measure(checkout: Path, n: int) -> dict[str, tuple[float, bytes]]:
-    """Peak RSS and output of `simulate` and `analyze` at size n, and of
-    the CSV `simulate` wrote (peak 0)."""
+    """Peak RSS and output of `simulate` and `analyze` at size n, and the
+    sha256 of the CSV `simulate` wrote (peak 0)."""
     with tempfile.TemporaryDirectory() as work:
         runs = {"simulate": peak(checkout, ["simulate", "--n", str(n), "--bootstrap", "0",
                                             "--seed", "0", "--cohort-out", "cohort.csv"], work)}
-        csv = (Path(work) / "cohort.csv").read_bytes()
+        csv = hashlib.sha256()
+        with open(Path(work) / "cohort.csv", "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                csv.update(chunk)
         runs["analyze"] = peak(checkout, ["analyze", "--input", "cohort.csv",
                                           "--bootstrap", "0"], work)
-    runs["cohort.csv"] = (0.0, csv)
+    runs["cohort.csv"] = (0.0, csv.digest())
     return runs
 
 
