@@ -1,6 +1,6 @@
-"""The cohort, the marginal risk ratio result, and analyze_cohort, the one
-fit -> bootstrap -> widen -> report driver behind `evtv analyze`, `evtv simulate`
-and every bootstrapped replication, for the two-timepoint design.
+"""The cohort, the marginal risk ratio result, analyze_cohort (behind `evtv analyze`
+and `evtv simulate`) and cell_msm, which reads every estimate and its widened bootstrap
+interval, each replication's too, from fitted count rows, for the two-timepoint design.
 
 The estimand is the marginal risk ratio comparing always treated with
 never treated, from a weighted marginal outcome model under stabilized
@@ -129,11 +129,11 @@ def cohort_cells(cohort: Cohort) -> np.ndarray:
     return _kernels.cell_ids(*cohort.columns)
 
 
-def cell_msm(counts: np.ndarray, fit: _kernels.CellFit, r: int) -> MsmResult:
-    """MsmResult of row r of fit = _kernels.rr_cells(counts); raises the
-    row's error if its estimate failed, and warns with
-    WeightDiagnosticWarning if the mean stabilized weight lies outside
-    [0.8, 1.2]."""
+def cell_msm(counts: np.ndarray, fit: _kernels.CellFit, r: int, bootstrap: int) -> MsmResult:
+    """MsmResult of row r of fit = _kernels.rr_cells(counts), with the percentile_ci
+    of the next `bootstrap` rows if bootstrap > 0; raises the row's error if its
+    estimate failed, then the interval's, and warns with WeightDiagnosticWarning
+    if the mean stabilized weight lies outside [0.8, 1.2]."""
     failure = _FAILURES.get(int(fit.status[r]))
     if failure is not None:
         raise failure[0](failure[2])
@@ -148,7 +148,14 @@ def cell_msm(counts: np.ndarray, fit: _kernels.CellFit, r: int) -> MsmResult:
             stacklevel=2,
         )
     p11, p00 = float(fit.p11[r]), float(fit.p00[r])
-    return MsmResult(p11 / p00, p11, p00, weight_mean, float(np.max(w)))
+    msm = MsmResult(p11 / p00, p11, p00, weight_mean, float(np.max(w)))
+    if not bootstrap:
+        return msm
+    boot = slice(r + 1, r + 1 + bootstrap)
+    lo, hi = percentile_ci(fit.rr[boot], fit.status[boot])
+    # a percentile interval from a finite resample can exclude the
+    # point estimate; widen to keep the report's CI well-formed
+    return replace(msm, ci_lower=min(lo, msm.rr_obs), ci_upper=max(hi, msm.rr_obs))
 
 
 # the bootstrap holds a few (replicates, 32) float arrays at once, ~51 MB
@@ -205,19 +212,11 @@ def analyze_cohort(
     cohort's two time points.
 
     One rr_cells call fits the cohort's cell counts (row 0) and those of
-    `bootstrap` resamples (resample_counts) under the same failure rules.
-    Returns (msm, report).
+    `bootstrap` resamples (resample_counts) under the same failure rules,
+    read by cell_msm.  Returns (msm, report).
     """
     cells = cohort_cells(cohort)
-    counts = _kernels.count_cells(cells)[None, :]
-    if bootstrap:
-        counts = np.vstack([counts, resample_counts(cells, bootstrap, seed)])
-    fit = _kernels.rr_cells(counts)
-    msm = cell_msm(counts, fit, 0)
-    if bootstrap:
-        lo, hi = percentile_ci(fit.rr[1:], fit.status[1:])
-        # a percentile interval from a finite resample can exclude the
-        # point estimate; widen to keep the report's CI well-formed
-        msm = replace(msm, ci_lower=min(lo, msm.rr_obs), ci_upper=max(hi, msm.rr_obs))
+    counts = np.vstack([_kernels.count_cells(cells), resample_counts(cells, bootstrap, seed)])
+    msm = cell_msm(counts, _kernels.rr_cells(counts), 0, bootstrap)
     estimate = EffectEstimate("rr", msm.rr_obs, msm.ci_lower, msm.ci_upper)
     return msm, build_report(estimate, 2, curve_points)

@@ -301,11 +301,11 @@ def check_curve_points(n_points: int) -> int:
 
 def check_curve_limit(rr: float, limit: float) -> None:
     """Refuse a risk ratio that tradeoff_curve refuses as its target (nan,
-    below 1, an E-value that overflows), or a confidence limit above it
-    by more than the relative band NormalizedEstimate allows."""
+    below 1, an E-value that overflows), then a confidence limit that is nan,
+    below 1 or above it by more than the relative band NormalizedEstimate allows."""
     rr = _checked_rr(rr, "rr_target")
     evalue_from_rr(rr)
-    if float(limit) > rr * (1.0 + _NULL_EPS):
+    if _checked_rr(limit, "limit") > rr * (1.0 + _NULL_EPS):
         raise ValueError(f"limit {limit!r} is above the risk ratio {rr!r}")
 
 

@@ -1,6 +1,6 @@
 """Cohort generation from the fully specified two-timepoint process, exact
 enumeration of the true risk ratio, and end-to-end replication experiments
-whose estimates and intervals come from estimation.analyze_cohort.
+whose estimates and intervals are read by estimation.cell_msm, as in analyze_cohort.
 
 The generating process has a binary unmeasured confounder at each time
 point feeding both treatment and outcome, and a measured intermediate
@@ -37,6 +37,7 @@ from .estimation import (
     cell_msm,
     check_replicates,
     cohort_cells,
+    resample_counts,
 )
 from .evalue import EValueReport
 
@@ -65,7 +66,7 @@ _TAG_PO = 6  # tags 6..9 hold the four potential-outcome draws
 # --cohort-out` process peaks ~18 B per subject above its n=1000 peak, 208 MiB at
 # the cap (tools/peak_rss.py); a study's figure is tracemalloc's, scaled
 MAX_COHORT_SIZE = 10_000_000
-MAX_REPLICATIONS = 100_000  # ~2.3 KB per replication plus one cohort, ~230 MB
+MAX_REPLICATIONS = 100_000  # ~1.5 KB per replication plus one cohort, ~150 MB
 
 
 @dataclass(frozen=True)
@@ -342,48 +343,48 @@ def run_replications(
 
     Replication i derives its own cohort seed from (seed, replication
     domain, i), so the set of cohorts is deterministic and insensitive
-    to execution order.  A bootstrapped replication's estimate and CI are
-    analyze_cohort's, with its cohort seed.  Degenerate draws and estimation
+    to execution order.  A replication's estimate and CI are those of
+    analyze_cohort with its cohort seed.  Degenerate draws and estimation
     failures are recorded per replication; more than 10 percent failing
     raises EstimationError.
     """
     seed = _rng.check_seed(seed)
     reps = check_size(replications, "replications", 1, "MAX_REPLICATIONS", MAX_REPLICATIONS)
-    # surface a bad bootstrap setting directly instead of letting it
-    # masquerade as a failure of every replication
+    # a bad bootstrap setting is refused before any cohort is drawn
     bootstrap = check_replicates(bootstrap_replicates)
-    # keep each replication's cell counts, not its cohort; unbootstrapped, one rr_cells fits all
-    seeds = [_rng.child_seed(seed, _rng.REPLICATION_DOMAIN, i) for i in range(reps)]
-    counts = np.empty((reps, N_CELLS))
-    drawn = []
-    for i, child in enumerate(seeds):
-        cohort = generate_cohort(params, child)
-        counts[i] = count_cells(cohort_cells(cohort.observed))
-        rr_true, msm, error = None, None, None
-        try:
-            # an undefined truth comes first, then a failed point estimate, then the bootstrap
-            rr_true = true_rr_mc(cohort)
-            if bootstrap:
-                msm = analyze_cohort(cohort.observed, bootstrap, child)[0]
-        except (EstimationError, ValueError) as exc:
-            error = str(exc)
-        drawn.append((rr_true, msm, error))
-    del cohort  # keep the last cohort out of the batched fit's peak memory
-    fit = None if bootstrap else rr_cells(counts)
+    # keep each replication's 1 + bootstrap count rows, not its cohort; one rr_cells per group
+    rows = 1 + bootstrap
+    group = max(1, _kernels.BLOCK_ROWS // rows)
     results: list[ReplicationResult] = []
-    for i, (child, (rr_true, msm, error)) in enumerate(zip(seeds, drawn)):
-        if msm is None and error is None:
+    for first in range(0, reps, group):
+        seeds = [_rng.child_seed(seed, _rng.REPLICATION_DOMAIN, i)
+                 for i in range(first, min(first + group, reps))]
+        counts = np.empty((len(seeds) * rows, N_CELLS))
+        truths = []
+        for j, child in enumerate(seeds):
+            cohort = generate_cohort(params, child)
+            cells = cohort_cells(cohort.observed)
+            counts[j * rows] = count_cells(cells)
+            counts[j * rows + 1:(j + 1) * rows] = resample_counts(cells, bootstrap, child)
             try:
-                msm = cell_msm(counts, fit, i)
-            except EstimationError as exc:
-                error = str(exc)
-        if error is not None:
-            results.append(ReplicationResult(seed=child, true_rr_mc=rr_true, error=error))
-            continue
-        results.append(ReplicationResult(
-            seed=child, true_rr_mc=rr_true, rr_obs=msm.rr_obs,
-            ci_lower=msm.ci_lower, ci_upper=msm.ci_upper, weight_mean=msm.weight_mean,
-        ))
+                truths.append((true_rr_mc(cohort), None))
+            except ValueError as exc:
+                truths.append((None, str(exc)))
+        fit = rr_cells(counts)
+        for j, (child, (rr_true, error)) in enumerate(zip(seeds, truths)):
+            # an undefined truth comes first and is never read, then the point estimate's error
+            if error is None:
+                try:
+                    msm = cell_msm(counts, fit, j * rows, bootstrap)
+                except EstimationError as exc:
+                    error = str(exc)
+            if error is not None:
+                results.append(ReplicationResult(seed=child, true_rr_mc=rr_true, error=error))
+                continue
+            results.append(ReplicationResult(
+                seed=child, true_rr_mc=rr_true, rr_obs=msm.rr_obs,
+                ci_lower=msm.ci_lower, ci_upper=msm.ci_upper, weight_mean=msm.weight_mean,
+            ))
     failures = sum(r.error is not None for r in results)
     if failures * 10 > reps:
         raise EstimationError(f"{failures} of {reps} replications failed estimation")

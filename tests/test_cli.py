@@ -211,13 +211,15 @@ class TestCurveCommand:
         ("nan", "1.5", "rr_target must be a number, got nan"),
         ("1e300", "1.5", "its E-value overflows a float"),
         ("1.2", "5", "limit 5.0 is above the risk ratio 1.2"),
+        ("1.5", "0.5", "limit must be >= 1"),
+        ("1.5", "nan", "limit must be a number, got nan"),
     ])
     def test_limit_needs_a_valid_rr_above_it(self, capsys, rr, limit, message):
         code, out, err = run_cli(capsys, "curve", "--rr", rr, "--limit", limit)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
-        if rr != "1.2":  # the same refusal as without --limit
-            assert run_cli(capsys, "curve", "--rr", rr)[0] == 2
+        # a refused --rr is refused as without --limit; a refused --limit is not its --rr's fault
+        assert run_cli(capsys, "curve", "--rr", rr)[0] == (0 if "limit" in message else 2)
 
     @pytest.mark.parametrize("excess", [0.0, 1e-13, 9e-13, 2e-12, 1e-9])
     def test_limit_tolerance_is_the_normalized_estimates(self, capsys, excess):

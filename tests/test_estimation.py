@@ -292,7 +292,7 @@ class TestBoundaryRules:
         # cell_msm of a usable one-row fit whose 32 cells have weights sw
         fit = _kernels.CellFit(np.array([2.0]), np.array([_kernels.REP_OK]), np.array([0.6]),
                                np.array([0.3]), np.asarray(sw, dtype=np.float64)[None, :])
-        return cell_msm(np.asarray(counts, dtype=np.float64)[None, :], fit, 0)
+        return cell_msm(np.asarray(counts, dtype=np.float64)[None, :], fit, 0, 0)
 
     def test_failure_budget_is_ten_percent(self):
         status = np.full(100, _kernels.REP_OK)

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from evtv import _rng, simulation
+from evtv import _kernels, _rng, simulation
 from evtv._kernels import REP_POSITIVITY, rr_cells
 from evtv.estimation import EstimationError, analyze_cohort
 from evtv.simulation import (
     REGIMES,
     GeneratedCohort,
+    ReplicationResult,
     SimulationParams,
     generate_cohort,
     run_experiment,
@@ -257,21 +258,65 @@ class TestRunReplications:
         with pytest.raises(ValueError, match="^replicates must be >= 100, got -1$"):
             run_replications(SimulationParams(n=100), 10, 2, -1)
 
-    @pytest.mark.parametrize("bootstrap, batched_fits", [(0, 1), (100, 0)])
-    def test_batched_fit_only_without_bootstrap(self, monkeypatch, bootstrap, batched_fits):
-        # a bootstrapped replication's estimate comes from its own analyze_cohort call
+    @pytest.mark.parametrize("bootstrap", [0, 100])
+    @pytest.mark.filterwarnings("ignore::evtv.estimation.WeightDiagnosticWarning")
+    def test_group_size_leaves_results_unchanged(self, monkeypatch, bootstrap):
+        # n=60, seed 5: replication 0 fails estimation, so failures cross groups too
+        p = SimulationParams(n=60)
+        whole = run_replications(p, 5, 10, bootstrap)
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", 7)
+        assert run_replications(p, 5, 10, bootstrap) == whole
+
+    @pytest.mark.parametrize("block_rows, bootstrap, reps, rows", [
+        (1024, 0, 3, [3]),
+        (1024, 100, 3, [303]),
+        (1024, 100, 12, [1010, 202]),
+        (7, 0, 20, [7, 7, 6]),
+        (7, 100, 3, [101, 101, 101]),
+    ])
+    def test_one_rr_cells_call_per_group(self, monkeypatch, block_rows, bootstrap, reps, rows):
+        # a group holds BLOCK_ROWS // (1 + bootstrap) replications, at least one,
+        # and each replication's point row is followed by its bootstrap rows
         calls = []
 
         def counted_rr_cells(counts):
-            if bootstrap:
-                raise AssertionError("fitted the batch of a bootstrapped study")
-            calls.append(counts.shape)
+            calls.append(counts.shape[0])
             return rr_cells(counts)
 
         monkeypatch.setattr(simulation, "rr_cells", counted_rr_cells)
-        results = run_replications(SimulationParams(n=200), 11, 3, bootstrap)
-        assert len(calls) == batched_fits
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", block_rows)
+        results = run_replications(SimulationParams(n=200), 11, reps, bootstrap)
+        assert calls == rows
         assert all(r.error is None for r in results)
+
+    @pytest.mark.parametrize("bootstrap", [0, 100])
+    @pytest.mark.filterwarnings("ignore::evtv.estimation.WeightDiagnosticWarning")
+    def test_undefined_truth_is_recorded_and_not_estimated(self, monkeypatch, bootstrap):
+        # n=60, seed 5: replication 0's point estimate fails (degenerate fit), so
+        # an estimate read despite its undefined truth would replace the truth's message
+        p = SimulationParams(n=60)
+        plain = run_replications(p, 5, 10, bootstrap)
+        assert plain[0].error.startswith("degenerate fit")
+        message = "no events under the never-treated regime; the risk ratio is undefined"
+
+        def run(undefined):
+            # true_rr_mc raises for the replications numbered in `undefined`
+            numbers = iter(range(10))
+
+            def patched_true_rr_mc(cohort):
+                if next(numbers) in undefined:
+                    raise ValueError(message)
+                return true_rr_mc(cohort)
+
+            monkeypatch.setattr(simulation, "true_rr_mc", patched_true_rr_mc)
+            return run_replications(p, 5, 10, bootstrap)
+
+        results = run({0})
+        assert results[0] == ReplicationResult(seed=plain[0].seed, error=message)
+        assert results[1:] == plain[1:]
+        # replication 3's undefined truth is the study's second failure of 10
+        with pytest.raises(EstimationError, match=r"^2 of 10 replications failed estimation$"):
+            run({3})
 
     def test_failure_budget_is_ten_percent(self, monkeypatch):
         def run(failed):

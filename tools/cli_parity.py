@@ -78,6 +78,8 @@ COMMANDS = [
     # 2 * SUBJECT_BLOCK + 1 subjects: generation, CSV blocks and counts across block edges
     "simulate --n 32769 --bootstrap 0 --seed 5 --cohort-out edge.csv",
     "analyze --input edge.csv --bootstrap 0",
+    # 1024 // 101 = 10 replications per group: groups of 10 and 2
+    "simulate --reps 12 --n 200 --bootstrap 100 --seed 6",
 ]
 
 FIELDS = ("exit code", "stdout", "stderr", "cohort CSV")

@@ -8,7 +8,7 @@ holding this script).  For each mutant the tool copies the checkout to a
 temporary directory, applies the replacement, runs the tier-1 suite there
 with `-x` and prints `KILLED <first failing test>` or `SURVIVED`, then the
 reason: what the mutant breaks or, for a survivor, why it is believed to
-be equivalent on reachable inputs.  The table takes about three minutes on
+be equivalent on reachable inputs.  The table takes about five minutes on
 two cores.
 
 Every old text must occur exactly once in its file, checked for the whole
@@ -48,6 +48,12 @@ MUTANTS = [
      "weight_max over every finite cell weight, empty cells included"),
     (SIMULATION, "if failures * 10 > reps:", "if failures * 10 >= reps:",
      "replication failure budget: exactly 10 percent failing raises"),
+    (SIMULATION, "msm = cell_msm(counts, fit, j * rows, bootstrap)",
+     "msm = cell_msm(counts, fit, j, bootstrap)",
+     "replication j of a group read at row j, not at its point row j * (1 + bootstrap)"),
+    (SIMULATION, "if error is None:", "if True:",
+     "a replication whose true risk ratio is undefined is estimated anyway, so a "
+     "failed estimate replaces the truth's message"),
     (SIMULATION, "b = slice(start, min(start + _kernels.SUBJECT_BLOCK, n))",
      "b = slice(start, min(start + _kernels.SUBJECT_BLOCK - 1, n))",
      "generate_cohort's block ends one subject early: that subject's draws go to the next"),
