@@ -15,8 +15,10 @@ models have 4, 2, 16 and 4 distinct pairs and the outcome model 8.  So
 each model is one `fit_batched` call on those groups, weighted by the
 total count (or outcome-model cell weight) of each group's cells, the
 grouped binomial likelihood whose sufficient statistics these totals
-are.  Fitted probabilities and every status rule stay on the 32 cells.
-Each row's result depends only on that row.
+are.  Fitted probabilities, weights and the positivity floor run on the
+16 treatment histories (l0, a0, l1, a1), which is all the treatment
+models read; sw is expanded to the 32 cells once, at the end.  Each
+row's result depends only on that row.
 """
 from __future__ import annotations
 
@@ -271,11 +273,14 @@ def weight_cells(counts):
     live = np.flatnonzero(np.all((treated > 0.0) & (treated < n), axis=0))
     cl = c[live]
     fits = [_fit_groups(g, cl) for g in _TREATMENT_GROUPS]
+    # on the 16 treatment histories: cells 2h and 2h + 1 differ only in y
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        pd0a, pn0a, pd1a, pn1a = (_prob(f[0], *m) for f, m in zip(fits, _TREATMENT_MODELS))
+        pd0a, pn0a, pd1a, pn1a = (_prob(f[0], x[::2], arm[::2])
+                                  for f, (x, arm) in zip(fits, _TREATMENT_MODELS))
         sw_live = (pn0a / pd0a) * (pn1a / pd1a)
     fit_status = np.array([f[3] for f in fits])
-    floor = np.where(cl > 0.0, np.minimum(pd0a, pd1a), np.inf).min(axis=1, initial=np.inf)
+    seen = (cl[:, ::2] > 0.0) | (cl[:, 1::2] > 0.0)
+    floor = np.where(seen, np.minimum(pd0a, pd1a), np.inf).min(axis=1, initial=np.inf)
     st = np.select([
         np.any(fit_status == FIT_SINGULAR, axis=0),
         np.any([np.max(np.abs(f[0]), axis=1) > SEPARATION_BOUND for f in fits], axis=0),
@@ -284,7 +289,7 @@ def weight_cells(counts):
     status = np.full(c.shape[0], REP_ARM_MISSING)
     status[live] = st
     sw = np.full(c.shape, np.nan)
-    sw[live[st == REP_OK]] = sw_live[st == REP_OK]
+    sw[live[st == REP_OK]] = np.repeat(sw_live[st == REP_OK], 2, axis=1)
     return sw, status
 
 

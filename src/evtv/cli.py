@@ -25,6 +25,7 @@ from .evalue import (
     build_report,
     check_curve_limit,
     check_curve_points,
+    check_timepoints,
     normalize_estimate,
     tradeoff_curve,
 )
@@ -134,8 +135,10 @@ def _curve_points(curve: Optional[int], timepoints: int = 2) -> int:
 
 
 def _cmd_evalue(args) -> str:
-    rep = build_report(_estimate_from_args(args), args.timepoints,
-                       _curve_points(args.curve, args.timepoints))
+    estimate = _estimate_from_args(args)
+    # time points before the curve, whose note an invalid count must not print
+    timepoints = check_timepoints(args.timepoints)
+    rep = build_report(estimate, timepoints, _curve_points(args.curve, timepoints))
     if args.human:
         return _human_summary(rep)
     return report.write_report_json(rep)

@@ -51,8 +51,9 @@ __all__ = [
 class Cohort:
     """Observed histories, one entry per subject in each of five columns:
     baseline confounder and treatment, time-1 confounder and treatment,
-    outcome.  The columns are stored as read-only uint8 copies, checked
-    once to be 1-D, of one nonzero length and binary."""
+    outcome.  The columns are checked once to be 1-D, of one nonzero length
+    and binary, and stored as read-only uint8 copies; a column that is
+    already uint8, read-only and owns its data is kept without a copy."""
 
     l0: np.ndarray
     a0: np.ndarray
@@ -65,11 +66,12 @@ class Cohort:
             v = np.asarray(getattr(self, f.name))
             if v.ndim != 1 or v.shape != np.shape(self.l0):
                 raise ValueError("cohort columns must be 1-D and of equal length")
-            bad = np.flatnonzero((v != 0) & (v != 1))
+            bad = np.flatnonzero(v > 1 if v.dtype == np.uint8 else (v != 0) & (v != 1))
             if bad.size:
                 raise ValueError(f"{f.name} must be 0 or 1, got {v[bad[0]]} at row {bad[0]}")
-            v = v.astype(np.uint8)
-            v.flags.writeable = False
+            if v.dtype != np.uint8 or v.flags.writeable or not v.flags.owndata:
+                v = v.astype(np.uint8)
+                v.flags.writeable = False
             object.__setattr__(self, f.name, v)
         if not len(self):
             raise ValueError("cohort is empty")
@@ -202,8 +204,21 @@ def percentile_ci(rr: np.ndarray, status: np.ndarray) -> tuple[float, float]:
             f"{failures} of {status.shape[0]} bootstrap replicates failed ({by_reason}); "
             "the cohort is too fragile for resampling"
         )
-    lo, hi = np.percentile(rr[kept], [2.5, 97.5])
+    lo, hi = _percentiles(rr[kept], [2.5, 97.5])
     return float(lo), float(hi)
+
+
+def _percentiles(x: np.ndarray, q) -> np.ndarray:
+    # numpy's percentile by its default "linear" method (Hyndman & Fan's type 7),
+    # bit for bit, from one sort: numpy's own goes through np.unique, which imports numpy.ma
+    x = np.sort(x)
+    v = (x.shape[0] - 1) * np.true_divide(q, 100)
+    i = np.floor(v).astype(np.intp)
+    j = np.minimum(i + 1, x.shape[0] - 1)  # j - 1 is i, or -1 (the last) when n = 1, as in numpy
+    t = v - (j - 1)
+    a, b = x[j - 1], x[j]
+    d = b - a
+    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
 
 
 def analyze_cohort(

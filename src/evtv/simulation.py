@@ -63,7 +63,7 @@ _TAG_U0, _TAG_L0, _TAG_A0, _TAG_U1, _TAG_L1, _TAG_A1 = range(6)
 _TAG_PO = 6  # tags 6..9 hold the four potential-outcome draws
 
 # size caps, checked before allocating (exit 2, not a MemoryError).  A `simulate
-# --cohort-out` process peaks ~18 B per subject above its n=1000 peak, 208 MiB at
+# --cohort-out` process peaks ~14 B per subject above its n=1000 peak, 169 MiB at
 # the cap (tools/peak_rss.py); a study's figure is tracemalloc's, scaled
 MAX_COHORT_SIZE = 10_000_000
 MAX_REPLICATIONS = 100_000  # ~1.5 KB per replication plus one cohort, ~150 MB
@@ -195,8 +195,10 @@ def generate_cohort(params: SimulationParams, seed: int) -> GeneratedCohort:
             for j, (ra0, ra1) in enumerate(REGIMES):
                 p = expit(params.outcome_logit(ra0, ra1, l0[b], l1[b], u0[b], u1[b]))
                 po[b, j] = p > streams[_TAG_PO + j].random(k)
-    observed = Cohort(l0, a0, l1, a1, _received(po, a0, a1))
-    return GeneratedCohort(observed=observed, u0=u0, u1=u1, potential_outcomes=po)
+    columns = l0, a0, l1, a1, _received(po, a0, a1)
+    for v in columns:  # read-only, so the Cohort keeps them without a copy
+        v.flags.writeable = False
+    return GeneratedCohort(observed=Cohort(*columns), u0=u0, u1=u1, potential_outcomes=po)
 
 
 def true_rr_mc(cohort: GeneratedCohort) -> float:

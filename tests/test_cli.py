@@ -84,6 +84,19 @@ class TestEvalueCommand:
         assert "curve" not in json.loads(out)
         assert "two time points" in err
 
+    @pytest.mark.parametrize("timepoints, message", [
+        ("0", "timepoints must be >= 1, got 0"),
+        (str(MAX_TIMEPOINTS + 1), "timepoints must be <= MAX_TIMEPOINTS"),
+    ])
+    def test_invalid_timepoints_print_no_curve_note(self, capsys, timepoints, message):
+        # the time points are checked before the curve, whose note about
+        # output that an invalid command never produces would come first
+        code, out, err = run_cli(capsys, "evalue", "--measure", "rr", "--value", "2",
+                                 "--timepoints", timepoints, "--curve", "5")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("points", ["1", "0", "-5"])
     def test_too_few_curve_points_exits_2(self, capsys, points):
         code, out, err = run_cli(capsys, "evalue", "--measure", "rr", "--value", "1.73",

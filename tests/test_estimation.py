@@ -6,6 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from evtv import _kernels, _rng, estimation
 from evtv.estimation import (
@@ -84,6 +87,28 @@ class TestCohort:
         assert cohort.l0.tolist() == [1, 0]
         with pytest.raises(ValueError):
             cohort.y[0] = 0
+
+    def test_uint8_column_above_one_rejected(self):
+        column = np.array([0, 2], dtype=np.uint8)
+        with pytest.raises(ValueError, match="l0 must be 0 or 1, got 2 at row 1"):
+            Cohort(column, column, column, column, column)
+
+    def test_owned_read_only_uint8_columns_are_adopted(self):
+        columns = [np.array([1, 0], dtype=np.uint8) for _ in range(5)]
+        for c in columns:
+            c.flags.writeable = False
+        cohort = Cohort(*columns)
+        assert all(a is b for a, b in zip(cohort.columns, columns))
+
+    def test_read_only_view_of_a_writable_buffer_is_copied(self):
+        # the buffer's owner could still change a view the cohort kept
+        buffer = np.array([1, 0], dtype=np.uint8)
+        view = buffer[:]
+        view.flags.writeable = False
+        cohort = Cohort(view, view, view, view, view)
+        buffer[0] = 0
+        assert cohort.l0.tolist() == [1, 0]
+        assert not np.shares_memory(cohort.l0, buffer)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -323,6 +348,21 @@ class TestBoundaryRules:
         sw = np.ones(_kernels.N_CELLS)
         sw[[3, 7, 20]] = 1.1, 0.95, 50.0
         assert self.msm(counts, sw).weight_max == 1.1
+
+
+# either sign, magnitudes 1e-300 to 1e300, and a few values drawn often for ties
+_percentile_value = st.one_of(st.sampled_from([1.0, 1.5, 2.0]), st.floats(1e-300, 1e300),
+                              st.floats(-1e300, -1e-300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.one_of(st.sampled_from([1, 2, 21, 41]), st.integers(1, 400)),
+              elements=_percentile_value))
+@example(np.linspace(1.0, 3.0, 21))  # (21 - 1) * q ends in .5 for both quantiles
+@example(np.array([-0.0]))  # numpy reads n = 1 at index -1 with weight 1, keeping the sign
+def test_percentiles_match_numpy_bit_for_bit(x):
+    want = np.percentile(x, [2.5, 97.5])
+    assert estimation._percentiles(x, [2.5, 97.5]).tobytes() == want.tobytes()
 
 
 class TestCheckReplicates:

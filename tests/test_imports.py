@@ -86,6 +86,29 @@ def test_analyze_loads_estimation_not_simulation(tmp_path):
     assert (code, loaded) == (0, ["numpy", "evtv.estimation", "evtv._kernels"])
 
 
+def test_bootstrap_commands_load_no_numpy_ma(tmp_path):
+    # np.percentile imports numpy.ma (through np.unique), ~2 MiB resident
+    # and tens of milliseconds once per process, for nothing the interval uses
+    path = tmp_path / "cohort.csv"
+    path.write_text(write_cohort_csv(generate_cohort(SimulationParams(n=200), 1).observed))
+    commands = [["analyze", "--input", str(path), "--bootstrap", "100"],
+                ["simulate", "--n", "200", "--reps", "2", "--bootstrap", "100"]]
+    outcome = run_fresh(
+        """
+        import contextlib, io, json, sys
+        import evtv.cli
+
+        codes = []
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(evtv.cli.main(argv))
+        print(json.dumps([codes, "numpy.ma" in sys.modules]))
+        """,
+        json.dumps(commands),
+    )
+    assert outcome == [[0, 0], False]
+
+
 def test_star_import_binds_all():
     missing = run_fresh(
         """

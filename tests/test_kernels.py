@@ -512,6 +512,21 @@ class TestNumpyPipeline:
         with pytest.raises(ValueError):
             rr_cells(np.ones(N_CELLS))
 
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_positivity_on_a_history_with_one_occupied_cell(self, y):
+        # one treated subject among 8e6 with l0 = 1 gives its history
+        # (1, 1, 0, 1) a fitted P(A0 = 1 | L0 = 1) near 1.25e-7; only its
+        # outcome-y cell is occupied, and the floor reads the whole history
+        counts = np.full(N_CELLS, 50.0)
+        l0_a0 = np.arange(N_CELLS) >> 3
+        counts[l0_a0 == 0b11] = 0.0
+        counts[l0_a0 == 0b10] = 1e6
+        counts[0b11010 | y] = 1.0
+        sw, status = weight_cells(counts[None])
+        assert status[0] == _kernels.REP_POSITIVITY
+        assert np.all(np.isnan(sw))
+        assert rr_cells(counts[None]).status[0] == _kernels.REP_POSITIVITY
+
     def test_cell_ids_order(self):
         bits = [np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]), np.array([0, 1, 1, 0]),
                 np.array([0, 0, 0, 1]), np.array([0, 1, 1, 1])]

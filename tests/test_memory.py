@@ -12,16 +12,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evtv.estimation import analyze_cohort, cohort_cells
+from evtv._kernels import REP_OK, rr_cells
+from evtv.estimation import analyze_cohort, cohort_cells, count_rows
 from evtv.report import _cohort_csv_blocks, read_cohort_csv
 from evtv.simulation import SimulationParams, generate_cohort, run_experiment
 
 N = 200_000
 SEED = 3
-# bytes per subject, from measured peaks of 18.2, 1.7, 17, 1.7 and 18.2; the
+# bytes per subject, from measured peaks of 14.2, 1.7, 15, 1.7 and 14.2; the
 # cohort file's write and the cell counts hold block-long buffers, not n-long
-PEAK_BOUNDS = {"generate_cohort": 23, "cohort_out": 2.1, "read_cohort_csv": 21,
-               "analyze_cohort": 2.1, "run_experiment": 23}
+PEAK_BOUNDS = {"generate_cohort": 18, "cohort_out": 2.1, "read_cohort_csv": 19,
+               "analyze_cohort": 2.1, "run_experiment": 18}
+# bytes per count row of rr_cells on a 1000-replicate bootstrap, measured at 2101
+RR_CELLS_BOUND = 2300
 
 
 def peak_per_subject(stage, n):
@@ -71,3 +74,13 @@ def test_per_subject_arrays_are_one_byte(pipeline):
 def test_peak_per_subject_bounded(pipeline, stage):
     peak = pipeline[2][stage]
     assert peak < PEAK_BOUNDS[stage], f"{stage} peaked at {peak:.1f} B per subject"
+
+
+def test_rr_cells_working_set_per_row():
+    # the point row and 1000 resamples of the n=1000, seed-7 cohort, fitted
+    # in one block: its stage arrays, and the result's 288 B per row
+    counts = count_rows(cohort_cells(generate_cohort(SimulationParams(n=1000), 7).observed),
+                        1000, 7)
+    fit, peak = peak_per_subject(lambda: rr_cells(counts), counts.shape[0])
+    assert np.all(fit.status == REP_OK)
+    assert peak < RR_CELLS_BOUND, f"rr_cells peaked at {peak:.0f} B per row"

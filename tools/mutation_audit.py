@@ -68,6 +68,13 @@ MUTANTS = [
      "for start in range(SUBJECT_BLOCK, cells.shape[0] - cells.shape[0] % SUBJECT_BLOCK, "
      "SUBJECT_BLOCK):",
      "count_cells skips its last partial block of cell ids"),
+    (KERNELS, "seen = (cl[:, ::2] > 0.0) | (cl[:, 1::2] > 0.0)",
+     "seen = (cl[:, ::2] > 0.0) & (cl[:, 1::2] > 0.0)",
+     "the positivity floor skips a treatment history with only one of its two cells occupied"),
+    (ESTIMATION, "j = np.minimum(i + 1, x.shape[0] - 1)", "j = np.minimum(i, x.shape[0] - 1)",
+     "the percentile's upper neighbour is its lower one: no interpolation"),
+    (ESTIMATION, "v > 1 if v.dtype == np.uint8", "v > 2 if v.dtype == np.uint8",
+     "a uint8 cohort column holding 2 passes the binary check"),
     # the three below leave every status and rr bit unchanged on the 63,710
     # rows of tools/rr_parity.py's sets
     (KERNELS, "for _ in range(30):", "for _ in range(20):",

@@ -1,18 +1,19 @@
 """Whole-process peak memory of the registry-scale path in two checkouts.
 
-    python3 tools/peak_rss.py N OLD_CHECKOUT NEW_CHECKOUT
+    python3 tools/peak_rss.py N OLD_CHECKOUT NEW_CHECKOUT [--bootstrap B]
 
 For each checkout, in a fresh interpreter with that checkout's `src/` on
 PYTHONPATH, runs
 
     evtv simulate --n N --bootstrap 0 --seed 0 --cohort-out cohort.csv
-    evtv analyze --input cohort.csv --bootstrap 0
+    evtv analyze --input cohort.csv --bootstrap B
 
-and prints each command's peak resident set size (`ru_maxrss` of the
-child, from os.wait4) in MiB; the bytes per subject, the growth of that
-peak over the same command's at n = 1000 (FLOOR_N, the interpreter and
-its imports) divided by N - 1000; and whether the new checkout's CSV and
-JSON output match the old one's byte for byte.  Exits 1 if a command
+with B = 0 unless --bootstrap gives it, and prints each command's peak
+resident set size (`ru_maxrss` of the child, from os.wait4) in MiB; the
+bytes per subject, the growth of that peak over the same command's at
+n = 1000 (FLOOR_N, the interpreter and its imports) divided by N - 1000;
+and whether the new checkout's CSV and JSON output match the old one's
+byte for byte.  Exits 1 if a command
 fails or an output differs.  Stdlib only; Linux reports ru_maxrss in KiB.
 
 A child's ru_maxrss starts at this process's own peak, which Linux carries
@@ -47,9 +48,9 @@ def peak(checkout: Path, argv: list[str], cwd: str) -> tuple[float, bytes]:
 FLOOR_N = 1000
 
 
-def measure(checkout: Path, n: int) -> dict[str, tuple[float, bytes]]:
-    """Peak RSS and output of `simulate` and `analyze` at size n, and the
-    sha256 of the CSV `simulate` wrote (peak 0)."""
+def measure(checkout: Path, n: int, bootstrap: str) -> dict[str, tuple[float, bytes]]:
+    """Peak RSS and output of `simulate` and `analyze --bootstrap bootstrap`
+    at size n, and the sha256 of the CSV `simulate` wrote (peak 0)."""
     with tempfile.TemporaryDirectory() as work:
         runs = {"simulate": peak(checkout, ["simulate", "--n", str(n), "--bootstrap", "0",
                                             "--seed", "0", "--cohort-out", "cohort.csv"], work)}
@@ -58,20 +59,26 @@ def measure(checkout: Path, n: int) -> dict[str, tuple[float, bytes]]:
             for chunk in iter(lambda: fh.read(1 << 20), b""):
                 csv.update(chunk)
         runs["analyze"] = peak(checkout, ["analyze", "--input", "cohort.csv",
-                                          "--bootstrap", "0"], work)
+                                          "--bootstrap", bootstrap], work)
     runs["cohort.csv"] = (0.0, csv.digest())
     return runs
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 3 or not argv[0].isdigit() or int(argv[0]) <= FLOOR_N:
+    argv, bootstrap = list(argv), "0"
+    if "--bootstrap" in argv:
+        k = argv.index("--bootstrap")
+        bootstrap = argv[k + 1] if k + 1 < len(argv) else ""
+        del argv[k:k + 2]
+    if (len(argv) != 3 or not argv[0].isdigit() or int(argv[0]) <= FLOOR_N
+            or not bootstrap.isdigit()):
         print(__doc__, file=sys.stderr)
         return 2
     n = int(argv[0])
     checkouts = [Path(a) for a in argv[1:]]
-    floor = [measure(c, FLOOR_N) for c in checkouts]
-    old, new = (measure(c, n) for c in checkouts)
-    print(f"n = {n}")
+    floor = [measure(c, FLOOR_N, bootstrap) for c in checkouts]
+    old, new = (measure(c, n, bootstrap) for c in checkouts)
+    print(f"n = {n}" + (f", analyze --bootstrap {bootstrap}" if bootstrap != "0" else ""))
     print(f"{'command':<10}{'old MiB':>10}{'new MiB':>10}{'old B/subj':>12}{'new B/subj':>12}")
     for cmd in ("simulate", "analyze"):
         mib = [old[cmd][0], new[cmd][0]]
