@@ -177,14 +177,16 @@ def check_replicates(replicates: int) -> int:
 
 def count_rows(cells: np.ndarray, bootstrap: int, seed: int) -> np.ndarray:
     """The (1 + bootstrap, 32) cell counts that cell_msm reads: row 0 the cohort's,
-    row 1 + r those of resample r, drawn from the stream (seed, bootstrap domain, r)."""
+    row 1 + r those of resample r, drawn from the stream (seed, bootstrap domain, r),
+    whose generator is seeded from one _rng.states call for all the resamples."""
     bootstrap = check_replicates(bootstrap)
     seed = _rng.check_seed(seed)
     n = cells.shape[0]
     counts = np.empty((1 + bootstrap, _kernels.N_CELLS))
     counts[0] = _kernels.count_cells(cells)
-    for r in range(bootstrap):
-        idx = _rng.stream(seed, _rng.BOOTSTRAP_DOMAIN, r).integers(0, n, size=n)
+    words = _rng.states([seed], _rng.BOOTSTRAP_DOMAIN, np.arange(bootstrap))[0]
+    for r, w in enumerate(words):
+        idx = _rng.generator(w).integers(0, n, size=n)
         counts[1 + r] = _kernels.count_cells(cells[idx])
     return counts
 

@@ -157,6 +157,8 @@ def read_cohort_csv(source: Union[str, IO[str]]) -> Cohort:
         header = next(csv.reader(lines()))
     except StopIteration:
         raise EmptyFile("cohort CSV has no header row") from None
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise ValueError(f"row 1: {exc}") from None
     # a byte order mark survives stream inputs decoded as plain utf-8
     names = [h.lstrip("\ufeff").strip().lower() for h in header]
     missing = [c for c in COHORT_COLUMNS if c not in names]
@@ -182,16 +184,20 @@ def read_cohort_csv(source: Union[str, IO[str]]) -> Cohort:
         grid ^= layout
     values = bytearray()
     rows = csv.reader(io.StringIO(str(body, "utf-8"), newline=""))
-    for rownum, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != len(names):
-            raise ValueError(f"row {rownum}: expected {len(names)} cells, got {len(row)}")
-        for col, pos in zip(COHORT_COLUMNS, positions):
-            cell = row[pos].strip()
-            if cell not in ("0", "1"):
-                raise NonBinaryValue(f"row {rownum}, column {col}: {cell!r} is not 0 or 1")
-            values.append(cell == "1")
+    rownum = 1
+    try:
+        for rownum, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise ValueError(f"row {rownum}: expected {len(names)} cells, got {len(row)}")
+            for col, pos in zip(COHORT_COLUMNS, positions):
+                cell = row[pos].strip()
+                if cell not in ("0", "1"):
+                    raise NonBinaryValue(f"row {rownum}, column {col}: {cell!r} is not 0 or 1")
+                values.append(cell == "1")
+    except csv.Error as exc:  # raised while reading the row after rownum
+        raise ValueError(f"row {rownum + 1}: {exc}") from None
     if not values:
         raise EmptyFile("cohort CSV has no data rows")
     return Cohort(*np.frombuffer(values, dtype=np.uint8).reshape(-1, len(COHORT_COLUMNS)).T)

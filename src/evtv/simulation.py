@@ -27,7 +27,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from . import _kernels, _rng
-from ._kernels import expit, rr_cells
+from ._kernels import N_CELLS, expit, rr_cells
 from .errors import check_size
 from .estimation import (
     Cohort,
@@ -36,7 +36,6 @@ from .estimation import (
     analyze_cohort,
     cell_msm,
     check_replicates,
-    cohort_cells,
     count_rows,
 )
 from .evalue import EValueReport
@@ -158,6 +157,66 @@ def _received(po: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     return np.where(a0, np.where(a1, po[:, 3], po[:, 2]), np.where(a1, po[:, 1], po[:, 0]))
 
 
+def _uniforms(gens: list, m: int, tag: int) -> np.ndarray:
+    # one variable's uniforms in a pass: m from stream `tag` of each cohort's streams, stacked
+    u = np.empty(len(gens) * m)
+    for j, streams in enumerate(gens):
+        streams[tag].random(out=u[j * m:(j + 1) * m])
+    return u
+
+
+_PASS_COHORTS = 4  # whole cohorts in one pass, at most; their streams live for the pass
+_STATE_CHUNK = 64  # replication cohorts whose streams one _rng.states call hashes
+
+
+def _draw_cohorts(params: SimulationParams, cohorts: int, streams, out=None):
+    """Draw `cohorts` stacked cohorts of params.n subjects, each from the next
+    list of 10 streams (tag order) that `streams` yields, into out = (u0, l0,
+    a0, u1, l1, a1, po, y), uint8 arrays of one cohort, or by default buffers
+    that every pass reuses.  A pass holds at most SUBJECT_BLOCK subjects: up to
+    _PASS_COHORTS whole cohorts, stacked from 0, or the subjects [lo, hi) of
+    one, which keeps its streams for its next pass.  Yields (first, last, lo,
+    hi, views of out at the pass's subjects) for cohorts first to last - 1.
+    A stream drawn in pieces gives the draws of one call (_rng), and the
+    elementwise expressions give a subject the same bits whatever the pass
+    holds, so no bit depends on the passes.
+    """
+    n = params.n
+    k = min(n, _kernels.SUBJECT_BLOCK)  # a cohort's subjects in one pass
+    per = min(_PASS_COHORTS, _kernels.SUBJECT_BLOCK // k)  # cohorts in one pass
+    if out is None:
+        size = min(per, cohorts) * n
+        out = *(np.empty(size, dtype=np.uint8) for _ in range(6)), np.empty(
+            (size, 4), dtype=np.uint8), np.empty(size, dtype=np.uint8)
+    for first in range(0, cohorts, per):
+        last = min(first + per, cohorts)
+        for lo in range(0, n, k):
+            hi = min(lo + k, n)
+            m = hi - lo
+            if lo == 0:
+                gens = [next(streams) for _ in range(first, last)]
+            # [lo, hi) of one cohort, or [0, n) of each of last - first
+            cols = u0, l0, a0, u1, l1, a1, po, y = [v[lo:(last - first - 1) * n + hi] for v in out]
+            # a logit below about -709 overflows exp to inf, and expit correctly
+            # returns 0; the overflow is not worth a warning on stderr
+            with np.errstate(over="ignore"):
+                u0[:] = _uniforms(gens, m, _TAG_U0) < params.p_u0
+                l0[:] = _uniforms(gens, m, _TAG_L0) < params.p_l0
+                c = params.a0_model
+                a0[:] = expit(c[0] + c[1] * l0 + c[2] * u0) > _uniforms(gens, m, _TAG_A0)
+                u1[:] = _uniforms(gens, m, _TAG_U1) < params.p_u1
+                c = params.l1_model
+                l1[:] = expit(c[0] + c[1] * a0 + c[2] * l0) > _uniforms(gens, m, _TAG_L1)
+                c = params.a1_model
+                p = expit(c[0] + c[1] * a0 + c[2] * l1 + c[3] * u1)
+                a1[:] = p > _uniforms(gens, m, _TAG_A1)
+                for r, (ra0, ra1) in enumerate(REGIMES):
+                    p = expit(params.outcome_logit(ra0, ra1, l0, l1, u0, u1))
+                    po[:, r] = p > _uniforms(gens, m, _TAG_PO + r)
+            y[:] = _received(po, a0, a1)
+            yield first, last, lo, hi, cols
+
+
 def generate_cohort(params: SimulationParams, seed: int) -> GeneratedCohort:
     """Draw one cohort of params.n subjects, deterministic given seed.
 
@@ -170,47 +229,32 @@ def generate_cohort(params: SimulationParams, seed: int) -> GeneratedCohort:
     seed = _rng.check_seed(seed)
     n = params.n
     streams = [_rng.stream(seed, _rng.COHORT_DOMAIN, tag) for tag in range(_TAG_PO + 4)]
-    u0, l0, a0, u1, l1, a1 = (np.empty(n, dtype=np.uint8) for _ in range(6))
+    u0, l0, a0, u1, l1, a1, y = (np.empty(n, dtype=np.uint8) for _ in range(7))
     po = np.empty((n, 4), dtype=np.uint8)
-    # a logit below about -709 overflows exp to inf, and expit correctly
-    # returns 0; the overflow is not worth a warning on stderr
-    with np.errstate(over="ignore"):
-        # the 0/1 columns are filled SUBJECT_BLOCK subjects at a time, each
-        # probability computed before its uniforms are drawn, so at most
-        # two block-long float arrays are alive at a time; a stream drawn
-        # in pieces gives the draws of one call (_rng), so no bit changes
-        for start in range(0, n, _kernels.SUBJECT_BLOCK):
-            b = slice(start, min(start + _kernels.SUBJECT_BLOCK, n))
-            k = b.stop - start
-            u0[b] = streams[_TAG_U0].random(k) < params.p_u0
-            l0[b] = streams[_TAG_L0].random(k) < params.p_l0
-            c = params.a0_model
-            a0[b] = expit(c[0] + c[1] * l0[b] + c[2] * u0[b]) > streams[_TAG_A0].random(k)
-            u1[b] = streams[_TAG_U1].random(k) < params.p_u1
-            c = params.l1_model
-            l1[b] = expit(c[0] + c[1] * a0[b] + c[2] * l0[b]) > streams[_TAG_L1].random(k)
-            c = params.a1_model
-            p = expit(c[0] + c[1] * a0[b] + c[2] * l1[b] + c[3] * u1[b])
-            a1[b] = p > streams[_TAG_A1].random(k)
-            for j, (ra0, ra1) in enumerate(REGIMES):
-                p = expit(params.outcome_logit(ra0, ra1, l0[b], l1[b], u0[b], u1[b]))
-                po[b, j] = p > streams[_TAG_PO + j].random(k)
-    columns = l0, a0, l1, a1, _received(po, a0, a1)
+    # filled pass by pass, each probability computed before its uniforms are
+    # drawn, so at most a few pass-long float arrays are alive at a time
+    for _ in _draw_cohorts(params, 1, iter([streams]), (u0, l0, a0, u1, l1, a1, po, y)):
+        pass
+    columns = l0, a0, l1, a1, y
     for v in columns:  # read-only, so the Cohort keeps them without a copy
         v.flags.writeable = False
     return GeneratedCohort(observed=Cohort(*columns), u0=u0, u1=u1, potential_outcomes=po)
 
 
-def true_rr_mc(cohort: GeneratedCohort) -> float:
-    """Monte Carlo true risk ratio: mean always-treated outcome over mean
-    never-treated outcome, across the cohort's potential outcomes."""
-    m11 = float(cohort.regime_outcomes(1, 1).mean())
-    m00 = float(cohort.regime_outcomes(0, 0).mean())
+def _true_rr(m11: float, m00: float) -> float:
+    # the risk ratio of the always- and never-treated regimes' mean outcomes
     if m00 == 0.0:
         raise ValueError(
             "no events under the never-treated regime; the risk ratio is undefined"
         )
     return m11 / m00
+
+
+def true_rr_mc(cohort: GeneratedCohort) -> float:
+    """Monte Carlo true risk ratio: mean always-treated outcome over mean
+    never-treated outcome, across the cohort's potential outcomes."""
+    return _true_rr(float(cohort.regime_outcomes(1, 1).mean()),
+                    float(cohort.regime_outcomes(0, 0).mean()))
 
 
 def _bern(p: float, v: int) -> float:
@@ -353,24 +397,41 @@ def run_replications(
     # a bad bootstrap setting is refused before any cohort is drawn
     bootstrap = check_replicates(bootstrap_replicates)
     # keep each replication's 1 + bootstrap count rows, not its cohort; one rr_cells per group
-    rows = 1 + bootstrap
+    n, rows = params.n, 1 + bootstrap
     group = max(1, _kernels.BLOCK_ROWS // rows)
     results: list[ReplicationResult] = []
-    for first in range(0, reps, group):
-        blocks, drawn = [], []
-        for i in range(first, min(first + group, reps)):
-            child = _rng.child_seed(seed, _rng.REPLICATION_DOMAIN, i)
-            cohort = generate_cohort(params, child)
-            blocks.append(count_rows(cohort_cells(cohort.observed), bootstrap, child))
-            try:
-                drawn.append((child, true_rr_mc(cohort), None))
-            except ValueError as exc:
-                drawn.append((child, None, str(exc)))
-        counts = np.concatenate(blocks)
+    for start in range(0, reps, group):
+        size = min(group, reps - start)
+        children = _rng.child_seeds(seed, _rng.REPLICATION_DOMAIN, np.arange(start, start + size))
+        counts = np.zeros((size * rows, N_CELLS))
+        events = np.zeros((size, 2), dtype=np.int64)  # never- and always-treated outcomes
+        whole = np.empty(n, dtype=np.uint8)  # one cohort's cell ids, for its resamples
+        # each cohort's streams as generate_cohort's, _STATE_CHUNK cohorts hashed at a time
+        streams = ([_rng.generator(w) for w in words] for c in range(0, size, _STATE_CHUNK)
+                   for words in _rng.states(children[c:c + _STATE_CHUNK], _rng.COHORT_DOMAIN,
+                                            np.arange(_TAG_PO + 4)))
+        for first, last, lo, hi, (_, l0, a0, _, l1, a1, po, y) in _draw_cohorts(
+                params, size, streams):
+            g, m = last - first, hi - lo
+            cells = _kernels.cell_ids(l0, a0, l1, a1, y)
+            ids = cells.reshape(g, m) + np.arange(0, g * N_CELLS, N_CELLS)[:, None]
+            counts[first * rows:last * rows:rows] += np.bincount(
+                ids.ravel(), minlength=g * N_CELLS).reshape(g, N_CELLS)
+            events[first:last] += po[:, ::3].reshape(g, m, 2).sum(axis=1, dtype=np.int64)
+            if bootstrap:  # a cohort's resamples are drawn once its cells are whole
+                for j in range(first, last):
+                    whole[lo:hi] = cells[(j - first) * m:(j - first + 1) * m]
+                    if hi == n:
+                        counts[j * rows:(j + 1) * rows] = count_rows(
+                            whole, bootstrap, int(children[j]))
         fit = rr_cells(counts)
-        for j, (child, rr_true, error) in enumerate(drawn):
+        for j, (never, always) in enumerate(events.tolist()):
+            child, estimate = int(children[j]), ()
             # an undefined truth comes first and is never read, then the point estimate's error
-            estimate = ()
+            try:
+                rr_true, error = _true_rr(always / n, never / n), None
+            except ValueError as exc:
+                rr_true, error = None, str(exc)
             if error is None:
                 try:
                     msm = cell_msm(counts, fit, j * rows, bootstrap)

@@ -432,6 +432,19 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, "analyze", "--input", "/nonexistent.csv")
         assert code == 2
 
+    @pytest.mark.parametrize("where, row", [("cell", 3), ("header", 1)])
+    def test_field_over_csv_limit_exits_2(self, capsys, tmp_path, where, row):
+        # csv refuses a field over 131,072 characters with csv.Error, which is
+        # not a ValueError: a quoted data cell, and an extra column's name
+        long = "1" * 200_000
+        text = {"cell": f'l0,a0,l1,a1,y\n0,1,0,1,0\n1,0,1,0,"{long}"\n',
+                "header": f"l0,a0,l1,a1,y,{long}\n0,1,0,1,0,5\n"}[where]
+        path = tmp_path / "long.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path), "--bootstrap", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: row {row}: field larger than field limit (131072)\n"
+
     def test_estimation_failure_exits_3(self, capsys, tmp_path):
         path = tmp_path / "one_arm.csv"
         rows = ["l0,a0,l1,a1,y"] + ["0,1,0,%d,%d" % (i % 2, (i + 1) % 2) for i in range(20)]

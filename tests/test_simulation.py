@@ -308,9 +308,11 @@ class TestRunReplications:
         results = run_replications(p, 7, reps, bootstrap)
         for i, r in enumerate(results):
             assert r.seed == _rng.child_seed(7, _rng.REPLICATION_DOMAIN, i)
-            msm = analyze_cohort(generate_cohort(p, r.seed).observed, bootstrap, r.seed)[0]
+            cohort = generate_cohort(p, r.seed)
+            msm = analyze_cohort(cohort.observed, bootstrap, r.seed)[0]
             assert (r.rr_obs, r.ci_lower, r.ci_upper, r.weight_mean) == (
                 msm.rr_obs, msm.ci_lower, msm.ci_upper, msm.weight_mean)
+            assert r.true_rr_mc == true_rr_mc(cohort)
 
     def test_master_seed_shifts_every_child(self):
         p = SimulationParams(n=200)
@@ -373,16 +375,18 @@ class TestRunReplications:
         assert plain[0].error.startswith("degenerate fit")
         message = "no events under the never-treated regime; the risk ratio is undefined"
 
+        true_rr = simulation._true_rr
+
         def run(undefined):
-            # true_rr_mc raises for the replications numbered in `undefined`
+            # the truth raises for the replications numbered in `undefined`
             numbers = iter(range(10))
 
-            def patched_true_rr_mc(cohort):
+            def patched_true_rr(m11, m00):
                 if next(numbers) in undefined:
                     raise ValueError(message)
-                return true_rr_mc(cohort)
+                return true_rr(m11, m00)
 
-            monkeypatch.setattr(simulation, "true_rr_mc", patched_true_rr_mc)
+            monkeypatch.setattr(simulation, "_true_rr", patched_true_rr)
             return run_replications(p, 5, 10, bootstrap)
 
         results = run({0})
@@ -391,6 +395,28 @@ class TestRunReplications:
         # replication 3's undefined truth is the study's second failure of 10
         with pytest.raises(EstimationError, match=r"^2 of 10 replications failed estimation$"):
             run({3})
+
+    @pytest.mark.parametrize("bootstrap, reps", [(0, 70), (100, 12)])
+    @pytest.mark.parametrize("n", [60, 120, 200, 410])
+    @pytest.mark.filterwarnings("ignore::evtv.estimation.WeightDiagnosticWarning")
+    def test_stacked_cohorts_match_single_cohorts(self, monkeypatch, bootstrap, reps, n):
+        # passes of 200 subjects: three whole cohorts of 60 (replication 0 fails
+        # estimation), one cohort below a pass, one filling it, and one over
+        # three passes that keeps its streams; 70 replications cross the
+        # 64-replication hash chunk, 12 with a bootstrap cross a group
+        monkeypatch.setattr(_kernels, "SUBJECT_BLOCK", 200)
+        p = SimulationParams(n=n)
+        for i, r in enumerate(run_replications(p, 5, reps, bootstrap)):
+            child = _rng.child_seed(5, _rng.REPLICATION_DOMAIN, i)
+            cohort = generate_cohort(p, child)
+            truth = true_rr_mc(cohort)
+            try:
+                msm = analyze_cohort(cohort.observed, bootstrap, child)[0]
+                expected = ReplicationResult(child, truth, msm.rr_obs, msm.ci_lower,
+                                             msm.ci_upper, msm.weight_mean)
+            except EstimationError as exc:
+                expected = ReplicationResult(child, truth, error=str(exc))
+            assert r == expected, i
 
     def test_failure_budget_is_ten_percent(self, monkeypatch):
         def run(failed):

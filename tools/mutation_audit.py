@@ -29,7 +29,7 @@ from pathlib import Path
 
 KERNELS, ESTIMATION = "src/evtv/_kernels.py", "src/evtv/estimation.py"
 SIMULATION, REPORT = "src/evtv/simulation.py", "src/evtv/report.py"
-ERRORS = "src/evtv/errors.py"
+ERRORS, RNG = "src/evtv/errors.py", "src/evtv/_rng.py"
 
 MUTANTS = [
     (KERNELS, "ok &= ~(s <= 1e-10 *", "ok &= ~(s <= 1e-8 *",
@@ -61,9 +61,21 @@ MUTANTS = [
     (ERRORS, "if isinstance(value, bool) or not isinstance(value, numbers.Integral):",
      "if isinstance(value, bool):",
      "the integer rule loses its non-Integral clause: int() truncates 2.9 and parses \"150\""),
-    (SIMULATION, "b = slice(start, min(start + _kernels.SUBJECT_BLOCK, n))",
-     "b = slice(start, min(start + _kernels.SUBJECT_BLOCK - 1, n))",
-     "generate_cohort's block ends one subject early: that subject's draws go to the next"),
+    (SIMULATION, "hi = min(lo + k, n)", "hi = min(lo + k - 1, n)",
+     "a cohort's pass ends one subject early: that subject's draws go to the next"),
+    (SIMULATION, "if lo == 0:", "if lo < n:",
+     "a cohort longer than a pass takes the next cohort's streams for each later pass, "
+     "instead of keeping its own"),
+    (SIMULATION, "for first in range(0, cohorts, per):",
+     "for first in range(0, cohorts - cohorts % per, per):",
+     "the last pass of stacked cohorts, holding fewer than the others, is not drawn"),
+    (SIMULATION, "for c in range(0, size, _STATE_CHUNK)",
+     "for c in range(0, size - size % _STATE_CHUNK, _STATE_CHUNK)",
+     "the streams of a group's last, partial chunk of replications are not hashed"),
+    (RNG, "return value ^ (value >> 16)", "return value ^ (value >> 15)",
+     "the SeedSequence hashmix shifts by 15, not 16"),
+    (RNG, "two = values >= 1 << 32", "two = values > 1 << 32",
+     "2**32 enters the entropy as one 32-bit word, not two"),
     (KERNELS, "for start in range(SUBJECT_BLOCK, cells.shape[0], SUBJECT_BLOCK):",
      "for start in range(SUBJECT_BLOCK, cells.shape[0] - cells.shape[0] % SUBJECT_BLOCK, "
      "SUBJECT_BLOCK):",
