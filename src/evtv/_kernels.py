@@ -209,7 +209,7 @@ def fit_batched(x, y, w):
         step, solved = _chol_solve_batched(hess, grad)
         # each row's stop code if it takes no step: FIT_MAXITER means out
         # of halvings, and -1 marks a row that took one and stays live
-        stop = np.select([gmax < FIT_TOL, ~solved], [FIT_CONVERGED, FIT_SINGULAR], FIT_MAXITER)
+        stop = np.where(gmax < FIT_TOL, FIT_CONVERGED, np.where(solved, FIT_MAXITER, FIT_SINGULAR))
         # step-halving: every pending replicate tries scales 1, 1/2, ...;
         # an accepted trial replaces its row's iterate in place
         pending = np.flatnonzero(stop == FIT_MAXITER)

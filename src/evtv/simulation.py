@@ -140,21 +140,65 @@ class GeneratedCohort:
         o, po, n = self.observed, self.potential_outcomes, len(self.observed)
         if po.shape != (n, 4) or self.u0.shape != (n,) or self.u1.shape != (n,):
             raise ValueError("cohort arrays do not match the record count")
-        bad = np.flatnonzero(o.y != _received(po, o.a0, o.a1))
-        if bad.size:
-            raise ValueError(
-                f"record {bad[0]} violates consistency: observed outcome differs "
-                "from the potential outcome of the received treatments"
-            )
+        for lo in range(0, n, _kernels.SUBJECT_BLOCK):
+            b = slice(lo, lo + _kernels.SUBJECT_BLOCK)
+            bad = np.flatnonzero(o.y[b] != _received(po[b], o.a0[b], o.a1[b]))
+            if bad.size:
+                raise ValueError(
+                    f"record {lo + bad[0]} violates consistency: observed outcome differs "
+                    "from the potential outcome of the received treatments"
+                )
 
     def regime_outcomes(self, a0: int, a1: int) -> np.ndarray:
         return self.potential_outcomes[:, 2 * a0 + a1]
 
 
+def _key(*bits: np.ndarray) -> np.ndarray:
+    # uint8 arrays of 0/1 values, most significant first, packed into one uint8
+    # array: each subject's index into a table over those bits
+    key = bits[0]
+    for b in bits[1:]:
+        key = key << 1
+        key |= b
+    return key
+
+
+def _bits(width: int) -> list:
+    # the inverse of _key over every key 0 .. 2**width - 1: one uint8 array per bit
+    keys = np.arange(1 << width, dtype=np.uint8)
+    return [(keys >> s) & 1 for s in range(width - 1, -1, -1)]
+
+
 def _received(po: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     # each subject's potential outcome under the treatments it received,
-    # po[i, 2 * a0[i] + a1[i]], chosen column by column without an index array
-    return np.where(a0, np.where(a1, po[:, 3], po[:, 2]), np.where(a1, po[:, 1], po[:, 0]))
+    # po[i, 2 * a0[i] + a1[i]], in one take from the flattened rows
+    return po.reshape(-1).take(np.arange(0, po.size, 4) + _key(a0, a1))
+
+
+def _tables(params: SimulationParams) -> tuple:
+    """P(A0 | l0, u0), P(L1 | a0, l0), P(A1 | a0, l1, u1) and the four
+    regimes' P(Y | l0, l1, u0, u1), each indexed by _key of its bits in that
+    order.  An entry is the model's logit expression and expit evaluated on
+    uint8 arrays of the bits, the same float operations on the same dtypes
+    as for one subject with those values; elementwise arithmetic and exp do
+    not depend on the array around an element, so the entry has the bits of
+    that subject's probability."""
+    # a logit below about -709 overflows exp to inf, and expit correctly
+    # returns 0; the overflow is not worth a warning on stderr
+    with np.errstate(over="ignore"):
+        l0, u0 = _bits(2)
+        c = params.a0_model
+        a0_table = expit(c[0] + c[1] * l0 + c[2] * u0)
+        a0, l0 = _bits(2)
+        c = params.l1_model
+        l1_table = expit(c[0] + c[1] * a0 + c[2] * l0)
+        a0, l1, u1 = _bits(3)
+        c = params.a1_model
+        a1_table = expit(c[0] + c[1] * a0 + c[2] * l1 + c[3] * u1)
+        l0, l1, u0, u1 = _bits(4)
+        y_tables = [expit(params.outcome_logit(ra0, ra1, l0, l1, u0, u1))
+                    for ra0, ra1 in REGIMES]
+    return a0_table, l1_table, a1_table, y_tables
 
 
 def _uniforms(gens: list, m: int, tag: int) -> np.ndarray:
@@ -165,7 +209,7 @@ def _uniforms(gens: list, m: int, tag: int) -> np.ndarray:
     return u
 
 
-_PASS_COHORTS = 4  # whole cohorts in one pass, at most; their streams live for the pass
+_PASS_COHORTS = 8  # whole cohorts in one pass, at most; their streams live for the pass
 _STATE_CHUNK = 64  # replication cohorts whose streams one _rng.states call hashes
 
 
@@ -177,9 +221,11 @@ def _draw_cohorts(params: SimulationParams, cohorts: int, streams, out=None):
     _PASS_COHORTS whole cohorts, stacked from 0, or the subjects [lo, hi) of
     one, which keeps its streams for its next pass.  Yields (first, last, lo,
     hi, views of out at the pass's subjects) for cohorts first to last - 1.
-    A stream drawn in pieces gives the draws of one call (_rng), and the
-    elementwise expressions give a subject the same bits whatever the pass
-    holds, so no bit depends on the passes.
+    The probabilities come from _tables, built once per call: a pass packs
+    each variable's parent bits into a uint8 key, gathers the key's
+    probability with `take` and compares it with the stream's uniforms.  A
+    stream drawn in pieces gives the draws of one call (_rng), and a subject's
+    probabilities do not depend on the pass, so no bit depends on the passes.
     """
     n = params.n
     k = min(n, _kernels.SUBJECT_BLOCK)  # a cohort's subjects in one pass
@@ -188,6 +234,7 @@ def _draw_cohorts(params: SimulationParams, cohorts: int, streams, out=None):
         size = min(per, cohorts) * n
         out = *(np.empty(size, dtype=np.uint8) for _ in range(6)), np.empty(
             (size, 4), dtype=np.uint8), np.empty(size, dtype=np.uint8)
+    a0_table, l1_table, a1_table, y_tables = _tables(params)
     for first in range(0, cohorts, per):
         last = min(first + per, cohorts)
         for lo in range(0, n, k):
@@ -197,22 +244,15 @@ def _draw_cohorts(params: SimulationParams, cohorts: int, streams, out=None):
                 gens = [next(streams) for _ in range(first, last)]
             # [lo, hi) of one cohort, or [0, n) of each of last - first
             cols = u0, l0, a0, u1, l1, a1, po, y = [v[lo:(last - first - 1) * n + hi] for v in out]
-            # a logit below about -709 overflows exp to inf, and expit correctly
-            # returns 0; the overflow is not worth a warning on stderr
-            with np.errstate(over="ignore"):
-                u0[:] = _uniforms(gens, m, _TAG_U0) < params.p_u0
-                l0[:] = _uniforms(gens, m, _TAG_L0) < params.p_l0
-                c = params.a0_model
-                a0[:] = expit(c[0] + c[1] * l0 + c[2] * u0) > _uniforms(gens, m, _TAG_A0)
-                u1[:] = _uniforms(gens, m, _TAG_U1) < params.p_u1
-                c = params.l1_model
-                l1[:] = expit(c[0] + c[1] * a0 + c[2] * l0) > _uniforms(gens, m, _TAG_L1)
-                c = params.a1_model
-                p = expit(c[0] + c[1] * a0 + c[2] * l1 + c[3] * u1)
-                a1[:] = p > _uniforms(gens, m, _TAG_A1)
-                for r, (ra0, ra1) in enumerate(REGIMES):
-                    p = expit(params.outcome_logit(ra0, ra1, l0, l1, u0, u1))
-                    po[:, r] = p > _uniforms(gens, m, _TAG_PO + r)
+            u0[:] = _uniforms(gens, m, _TAG_U0) < params.p_u0
+            l0[:] = _uniforms(gens, m, _TAG_L0) < params.p_l0
+            a0[:] = a0_table.take(_key(l0, u0)) > _uniforms(gens, m, _TAG_A0)
+            u1[:] = _uniforms(gens, m, _TAG_U1) < params.p_u1
+            l1[:] = l1_table.take(_key(a0, l0)) > _uniforms(gens, m, _TAG_L1)
+            a1[:] = a1_table.take(_key(a0, l1, u1)) > _uniforms(gens, m, _TAG_A1)
+            key = _key(l0, l1, u0, u1)
+            for r, table in enumerate(y_tables):
+                po[:, r] = table.take(key) > _uniforms(gens, m, _TAG_PO + r)
             y[:] = _received(po, a0, a1)
             yield first, last, lo, hi, cols
 
@@ -417,7 +457,8 @@ def run_replications(
             ids = cells.reshape(g, m) + np.arange(0, g * N_CELLS, N_CELLS)[:, None]
             counts[first * rows:last * rows:rows] += np.bincount(
                 ids.ravel(), minlength=g * N_CELLS).reshape(g, N_CELLS)
-            events[first:last] += po[:, ::3].reshape(g, m, 2).sum(axis=1, dtype=np.int64)
+            events[first:last, 0] += np.count_nonzero(po[:, 0].reshape(g, m), axis=1)
+            events[first:last, 1] += np.count_nonzero(po[:, 3].reshape(g, m), axis=1)
             if bootstrap:  # a cohort's resamples are drawn once its cells are whole
                 for j in range(first, last):
                     whole[lo:hi] = cells[(j - first) * m:(j - first + 1) * m]

@@ -1,4 +1,5 @@
 """Tests for the generating process, oracle truths, and experiment driver."""
+import contextlib
 import math
 from itertools import product
 
@@ -121,6 +122,104 @@ class TestGenerateCohort:
         l0 = cohort.observed.l0
         assert abs(cohort.u0.mean() - 0.25) < 0.01
         assert abs(l0.mean() - 0.7) < 0.01
+
+
+def reference_cohort(p: SimulationParams, seed: int) -> list[np.ndarray]:
+    """(u0, l0, a0, u1, l1, a1, po, y) of the cohort of (p, seed), drawn
+    without probability tables: every logit and expit evaluated on every
+    subject, each stream drawn in one call, and the received outcome chosen
+    by nested np.where."""
+    n = p.n
+    draw = [_rng.stream(seed, _rng.COHORT_DOMAIN, tag).random(n) for tag in range(10)]
+    with np.errstate(over="ignore"):
+        u0 = (draw[0] < p.p_u0).astype(np.uint8)
+        l0 = (draw[1] < p.p_l0).astype(np.uint8)
+        c = p.a0_model
+        a0 = (_kernels.expit(c[0] + c[1] * l0 + c[2] * u0) > draw[2]).astype(np.uint8)
+        u1 = (draw[3] < p.p_u1).astype(np.uint8)
+        c = p.l1_model
+        l1 = (_kernels.expit(c[0] + c[1] * a0 + c[2] * l0) > draw[4]).astype(np.uint8)
+        c = p.a1_model
+        a1 = (_kernels.expit(c[0] + c[1] * a0 + c[2] * l1 + c[3] * u1) > draw[5]).astype(np.uint8)
+        po = np.empty((n, 4), dtype=np.uint8)
+        for r, (ra0, ra1) in enumerate(REGIMES):
+            po[:, r] = _kernels.expit(p.outcome_logit(ra0, ra1, l0, l1, u0, u1)) > draw[6 + r]
+    y = np.where(a0, np.where(a1, po[:, 3], po[:, 2]), np.where(a1, po[:, 1], po[:, 0]))
+    return [u0, l0, a0, u1, l1, a1, po, y]
+
+
+# coefficients from everyday sizes to ones whose logits pass +-37, where expit
+# rounds to 1 or nearly 0, and -709, where exp overflows and expit returns 0
+SATURATING = st.one_of(st.floats(-3.0, 3.0), st.floats(-800.0, 800.0),
+                       st.sampled_from([-750.0, -40.0, 37.5, 745.0]))
+
+
+@st.composite
+def saturating_params(draw, n):
+    def coefs(k):
+        return tuple(draw(SATURATING) for _ in range(k))
+
+    prob = st.floats(0.01, 0.99)
+    return SimulationParams(p_u0=draw(prob), p_l0=draw(prob), p_u1=draw(prob),
+                            a0_model=coefs(3), l1_model=coefs(3), a1_model=coefs(4),
+                            outcome_model=coefs(8), n=draw(n))
+
+
+class TestProbabilityTables:
+    """The generator's probability tables against per-subject expressions,
+    over parameters that saturate and overflow expit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=saturating_params(st.one_of(st.sampled_from([1, 6, 7, 8, 14, 15]),
+                                         st.integers(1, 30))),
+           seed=st.integers(0, 2**64 - 1))
+    def test_generated_cohort_matches_per_subject_draws(self, p, seed):
+        # passes of 7 subjects: n below, at and across the pass edge
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "SUBJECT_BLOCK", 7)
+            cohort = generate_cohort(p, seed)
+        got = [cohort.u0, cohort.observed.l0, cohort.observed.a0, cohort.u1,
+               cohort.observed.l1, cohort.observed.a1, cohort.potential_outcomes,
+               cohort.observed.y]
+        for name, a, b in zip(("u0", "l0", "a0", "u1", "l1", "a1", "po", "y"),
+                              got, reference_cohort(p, seed)):
+            assert a.dtype == np.uint8 and np.array_equal(a, b), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=saturating_params(st.integers(1, 60)), reps=st.integers(1, 20),
+           block=st.sampled_from([7, 64, 480]), seed=st.integers(0, 2**64 - 1))
+    def test_stacked_replications_match_per_subject_draws(self, p, reps, block, seed):
+        # each replication's cell counts and regime means against its reference
+        # cohort's: passes of up to 8 whole cohorts (n <= block // 8), of fewer,
+        # or of part of one
+        counts, means = [], []
+
+        def recording_rr_cells(c):
+            counts.append(c.copy())
+            return rr_cells(c)
+
+        def recording_true_rr(m11, m00):
+            means.append((m11, m00))
+            return true_rr(m11, m00)
+
+        true_rr = simulation._true_rr
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "SUBJECT_BLOCK", block)
+            mp.setattr(simulation, "rr_cells", recording_rr_cells)
+            mp.setattr(simulation, "_true_rr", recording_true_rr)
+            # the failure budget is not under test: a study over it raises
+            # after every cohort is counted
+            with contextlib.suppress(EstimationError):
+                run_replications(p, seed, reps)
+        expected_counts, expected_means = [], []
+        for i in range(reps):
+            _, l0, a0, _, l1, a1, po, y = reference_cohort(
+                p, _rng.child_seed(seed, _rng.REPLICATION_DOMAIN, i))
+            cells = _kernels.cell_ids(l0, a0, l1, a1, y)
+            expected_counts.append(np.bincount(cells, minlength=_kernels.N_CELLS))
+            expected_means.append((int(po[:, 3].sum()) / p.n, int(po[:, 0].sum()) / p.n))
+        assert np.array_equal(np.concatenate(counts), expected_counts)
+        assert means == expected_means
 
 
 class TestTrueRrMc:

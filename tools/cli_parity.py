@@ -80,6 +80,10 @@ COMMANDS = [
     "analyze --input edge.csv --bootstrap 0",
     # 1024 // 101 = 10 replications per group: groups of 10 and 2
     "simulate --reps 12 --n 200 --bootstrap 100 --seed 6",
+    # saturated probabilities: P(A0 | u0 = 1) at logit -44.6 or less, P(Y | u1 = 1) at
+    # logit 38.8 or more; 50 cohorts of 400 fill six 8-cohort passes and part of a seventh
+    "simulate --reps 50 --n 400 --bootstrap 0 --seed 21 "
+    "--param outcome_model=-0.5,1.0,1.2,0.7,0.8,0.4,-0.7,40 --param a0_model=-0.8,1.2,-45",
 ]
 
 FIELDS = ("exit code", "stdout", "stderr", "cohort CSV")

@@ -76,6 +76,14 @@ MUTANTS = [
      "the SeedSequence hashmix shifts by 15, not 16"),
     (RNG, "two = values >= 1 << 32", "two = values > 1 << 32",
      "2**32 enters the entropy as one 32-bit word, not two"),
+    (SIMULATION, "a1_table.take(_key(a0, l1, u1))", "a1_table.take(_key(l1, a0, u1))",
+     "the A1 table is read at a key with a0 and l1 swapped"),
+    (SIMULATION, "np.count_nonzero(po[:, 0].reshape(g, m), axis=1)",
+     "np.count_nonzero(po[:, 1].reshape(g, m), axis=1)",
+     "a replication's never-treated outcomes are tallied from the (0, 1) regime's column"),
+    (SIMULATION, "np.arange(0, po.size, 4) + _key(a0, a1)",
+     "np.arange(0, po.size, 4) + _key(a1, a0)",
+     "the received outcome is read at column 2 * a1 + a0, not 2 * a0 + a1"),
     (KERNELS, "for start in range(SUBJECT_BLOCK, cells.shape[0], SUBJECT_BLOCK):",
      "for start in range(SUBJECT_BLOCK, cells.shape[0] - cells.shape[0] % SUBJECT_BLOCK, "
      "SUBJECT_BLOCK):",
