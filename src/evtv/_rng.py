@@ -9,11 +9,12 @@ replicate, one per replication).  Subject i always consumes draw i of a
 variable stream, so adding a new variable or growing the cohort never
 perturbs draws that already existed.
 
-`stream` and `child_seed` build each stream or seed through numpy's own
-SeedSequence.  Many streams at once go through `states`, which hashes the
-SeedSequence entropy of every (seed, domain, tag) in one numpy pass, and
-`generator`, which seeds PCG64 from a row of its words: the same streams,
-cheaper from about 20 at once and about a sixth of the cost each at 1000.
+A stream is numpy's PCG64 seeded by np.random.SeedSequence((seed, domain,
+tag)), and a child seed the first word that sequence generates.  Both are
+built from `states`, which hashes the SeedSequence entropy of every (seed,
+domain, tag) in one numpy pass: `generator` seeds PCG64 from a row of its
+words, and `child_seeds` reads the rows' first words.  tests/_per_row.py
+keeps numpy's own SeedSequence path as the reference they must match.
 """
 from __future__ import annotations
 
@@ -36,19 +37,6 @@ def check_seed(seed: int) -> int:
     if not 0 <= seed < _SEED_MAX:
         raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     return seed
-
-
-def stream(seed: int, domain: int, tag: int) -> np.random.Generator:
-    """Return the generator addressed by (seed, domain, tag): default_rng's
-    PCG64 generator, built directly, which skips default_rng's argument
-    dispatch and gives the same draws."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, domain, tag))))
-
-
-def child_seed(seed: int, domain: int, index: int) -> int:
-    """Derive an independent 64-bit seed, e.g. one per replication."""
-    state = np.random.SeedSequence((seed, domain, index)).generate_state(1, np.uint64)
-    return int(state[0])
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe, randutils 2015) on a pool of
@@ -128,13 +116,14 @@ def states(seeds, domain: int, tags) -> np.ndarray:
 
 
 def child_seeds(seed: int, domain: int, indices) -> np.ndarray:
-    """uint64 array of child_seed(seed, domain, i) for each i in indices."""
+    """uint64 array of the child seed (seed, domain, i) for each i in indices:
+    word 0 of its `states` row."""
     return states([seed], domain, indices)[0, :, 0]
 
 
 def generator(words: np.ndarray) -> np.random.Generator:
-    """The generator `stream` builds, from its (4,) uint64 row of `states`:
-    PCG64 seeds itself from the words in C."""
+    """The generator of a stream, from its (4,) uint64 row of `states`: PCG64
+    seeds itself from the words in C, as it would from the SeedSequence."""
     return np.random.Generator(np.random.PCG64(_words_type()(words)))
 
 

@@ -280,6 +280,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # an input too large for the memory the process may use
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 2
     except EstimationError as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return 3

@@ -53,7 +53,9 @@ class Cohort:
     baseline confounder and treatment, time-1 confounder and treatment,
     outcome.  The columns are checked once to be 1-D, of one nonzero length
     and binary, and stored as read-only uint8 copies; a column that is
-    already uint8, read-only and owns its data is kept without a copy."""
+    already uint8, read-only and owns its data is kept without a copy.  Such
+    a column stays the caller's array, and read-only is only numpy's flag: a
+    caller that sets its `writeable` flag back can change the cohort."""
 
     l0: np.ndarray
     a0: np.ndarray

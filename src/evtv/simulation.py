@@ -61,11 +61,12 @@ L1Source = Literal["intervened", "observed"]
 _TAG_U0, _TAG_L0, _TAG_A0, _TAG_U1, _TAG_L1, _TAG_A1 = range(6)
 _TAG_PO = 6  # tags 6..9 hold the four potential-outcome draws
 
-# size caps, checked before allocating (exit 2, not a MemoryError).  A `simulate
-# --cohort-out` process peaks ~14 B per subject above its n=1000 peak, 169 MiB at
-# the cap (tools/peak_rss.py); a study's figure is tracemalloc's, scaled
+# size caps, checked before allocating (exit 2, not a MemoryError).  Whole-process
+# peaks (tools/peak_rss.py): `simulate --cohort-out` grows ~14 B per subject above
+# its n=1000 peak, 169 MiB at the cap; `simulate --reps` at n=200 ~1.9 KB per
+# replication (39.5 MiB at 1,000, 52.2 MiB at 8,000), ~220 MiB at the cap
 MAX_COHORT_SIZE = 10_000_000
-MAX_REPLICATIONS = 100_000  # ~1.5 KB per replication plus one cohort, ~150 MB
+MAX_REPLICATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -210,30 +211,32 @@ def _uniforms(gens: list, m: int, tag: int) -> np.ndarray:
 
 
 _PASS_COHORTS = 8  # whole cohorts in one pass, at most; their streams live for the pass
-_STATE_CHUNK = 64  # replication cohorts whose streams one _rng.states call hashes
 
 
-def _draw_cohorts(params: SimulationParams, cohorts: int, streams, out=None):
-    """Draw `cohorts` stacked cohorts of params.n subjects, each from the next
-    list of 10 streams (tag order) that `streams` yields, into out = (u0, l0,
-    a0, u1, l1, a1, po, y), uint8 arrays of one cohort, or by default buffers
-    that every pass reuses.  A pass holds at most SUBJECT_BLOCK subjects: up to
-    _PASS_COHORTS whole cohorts, stacked from 0, or the subjects [lo, hi) of
-    one, which keeps its streams for its next pass.  Yields (first, last, lo,
-    hi, views of out at the pass's subjects) for cohorts first to last - 1.
-    The probabilities come from _tables, built once per call: a pass packs
-    each variable's parent bits into a uint8 key, gathers the key's
-    probability with `take` and compares it with the stream's uniforms.  A
-    stream drawn in pieces gives the draws of one call (_rng), and a subject's
-    probabilities do not depend on the pass, so no bit depends on the passes.
+def _draw_cohorts(params: SimulationParams, seeds, out=None):
+    """Draw one cohort of params.n subjects for each of `seeds`, stacked, into
+    out = (u0, l0, a0, u1, l1, a1, po, y), uint8 arrays of one cohort, or by
+    default buffers that every pass reuses.  Cohort i's streams are
+    (seeds[i], COHORT_DOMAIN, tag) for tags 0-9, hashed for every cohort in one
+    _rng.states call and made generators when the cohort's first pass starts.
+    A pass holds at most SUBJECT_BLOCK subjects: up to _PASS_COHORTS whole
+    cohorts, stacked from 0, or the subjects [lo, hi) of one, which keeps its
+    streams for its next pass.  Yields (first, last, lo, hi, views of out at
+    the pass's subjects) for cohorts first to last - 1.  The probabilities come
+    from _tables, built once per call: a pass packs each variable's parent bits
+    into a uint8 key, gathers the key's probability with `take` and compares it
+    with the stream's uniforms.  A stream drawn in pieces gives the draws of one
+    call (_rng), and a subject's probabilities do not depend on the pass, so no
+    bit depends on the passes.
     """
-    n = params.n
+    n, cohorts = params.n, len(seeds)
     k = min(n, _kernels.SUBJECT_BLOCK)  # a cohort's subjects in one pass
     per = min(_PASS_COHORTS, _kernels.SUBJECT_BLOCK // k)  # cohorts in one pass
     if out is None:
         size = min(per, cohorts) * n
         out = *(np.empty(size, dtype=np.uint8) for _ in range(6)), np.empty(
             (size, 4), dtype=np.uint8), np.empty(size, dtype=np.uint8)
+    words = _rng.states(seeds, _rng.COHORT_DOMAIN, np.arange(_TAG_PO + 4))
     a0_table, l1_table, a1_table, y_tables = _tables(params)
     for first in range(0, cohorts, per):
         last = min(first + per, cohorts)
@@ -241,7 +244,7 @@ def _draw_cohorts(params: SimulationParams, cohorts: int, streams, out=None):
             hi = min(lo + k, n)
             m = hi - lo
             if lo == 0:
-                gens = [next(streams) for _ in range(first, last)]
+                gens = [[_rng.generator(w) for w in ws] for ws in words[first:last]]
             # [lo, hi) of one cohort, or [0, n) of each of last - first
             cols = u0, l0, a0, u1, l1, a1, po, y = [v[lo:(last - first - 1) * n + hi] for v in out]
             u0[:] = _uniforms(gens, m, _TAG_U0) < params.p_u0
@@ -268,12 +271,11 @@ def generate_cohort(params: SimulationParams, seed: int) -> GeneratedCohort:
     """
     seed = _rng.check_seed(seed)
     n = params.n
-    streams = [_rng.stream(seed, _rng.COHORT_DOMAIN, tag) for tag in range(_TAG_PO + 4)]
     u0, l0, a0, u1, l1, a1, y = (np.empty(n, dtype=np.uint8) for _ in range(7))
     po = np.empty((n, 4), dtype=np.uint8)
     # filled pass by pass, each probability computed before its uniforms are
     # drawn, so at most a few pass-long float arrays are alive at a time
-    for _ in _draw_cohorts(params, 1, iter([streams]), (u0, l0, a0, u1, l1, a1, po, y)):
+    for _ in _draw_cohorts(params, [seed], (u0, l0, a0, u1, l1, a1, po, y)):
         pass
     columns = l0, a0, l1, a1, y
     for v in columns:  # read-only, so the Cohort keeps them without a copy
@@ -446,12 +448,8 @@ def run_replications(
         counts = np.zeros((size * rows, N_CELLS))
         events = np.zeros((size, 2), dtype=np.int64)  # never- and always-treated outcomes
         whole = np.empty(n, dtype=np.uint8)  # one cohort's cell ids, for its resamples
-        # each cohort's streams as generate_cohort's, _STATE_CHUNK cohorts hashed at a time
-        streams = ([_rng.generator(w) for w in words] for c in range(0, size, _STATE_CHUNK)
-                   for words in _rng.states(children[c:c + _STATE_CHUNK], _rng.COHORT_DOMAIN,
-                                            np.arange(_TAG_PO + 4)))
         for first, last, lo, hi, (_, l0, a0, _, l1, a1, po, y) in _draw_cohorts(
-                params, size, streams):
+                params, children):
             g, m = last - first, hi - lo
             cells = _kernels.cell_ids(l0, a0, l1, a1, y)
             ids = cells.reshape(g, m) + np.arange(0, g * N_CELLS, N_CELLS)[:, None]

@@ -1,4 +1,5 @@
-"""Per-row references for the batched fitting engine and the cohort CSV reader.
+"""Per-row references for the batched fitting engine, the cohort CSV reader
+and the batched stream seeding.
 
 `fit_logistic` is damped Newton on one model with the scalar Cholesky
 solver `_chol_solve`, the loop the package ran per fit before every fit
@@ -12,8 +13,10 @@ roundoff.  `ungrouped_fits` fits each of the five models on all 32
 cells, as the stages did before each model was fitted on its distinct
 (design row, response) groups.  `read_cohort_rows` is the cohort CSV
 reader as the package ran it before the columnar `Cohort`: csv.reader
-and one row at a time, empty rows skipped.  `OFF_CALIBRATION_ROWS` is a
-shared fixture cohort.
+and one row at a time, empty rows skipped.  `stream` and `child_seed` build
+one stream or child seed through numpy's own SeedSequence, the path the
+package took before every stream was seeded from a row of `_rng.states`.
+`OFF_CALIBRATION_ROWS` is a shared fixture cohort.
 """
 import csv
 import warnings
@@ -242,3 +245,15 @@ def per_row_rr(cohort, weights=None):
     p11 = float(_plain_expit(c[0] + c[1] + c[2]))
     p00 = float(_plain_expit(c[0]))
     return p11 / p00, p11, p00
+
+
+def stream(seed: int, domain: int, tag: int) -> np.random.Generator:
+    """The generator addressed by (seed, domain, tag): PCG64 seeded by
+    np.random.SeedSequence((seed, domain, tag)), as default_rng builds it."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, domain, tag))))
+
+
+def child_seed(seed: int, domain: int, index: int) -> int:
+    """The 64-bit child seed (seed, domain, index), e.g. one per replication."""
+    state = np.random.SeedSequence((seed, domain, index)).generate_state(1, np.uint64)
+    return int(state[0])

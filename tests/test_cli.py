@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -647,6 +648,29 @@ class TestSizeCaps:
         assert code == 2
         assert cap in err
         assert peak < 1 << 20
+
+    def test_input_beyond_the_memory_limit_exits_2(self, tmp_path):
+        # a header and then 1 GiB of NUL bytes in a sparse file, analyzed in a
+        # child whose address space is capped at 400 MiB: numpy's import fits,
+        # reading the file does not
+        cohort = tmp_path / "huge.csv"
+        with open(cohort, "wb") as fh:
+            fh.write(b"l0,a0,l1,a1,y\n")
+            fh.truncate(1 << 30)
+
+        def cap_address_space():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, hard))
+
+        env = {k: v for k, v in os.environ.items() if k != "EVTV_SEED"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "evtv.cli", "analyze", "--input", str(cohort),
+             "--bootstrap", "0"],
+            capture_output=True, text=True, env=env, preexec_fn=cap_address_space)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), lines
 
     def test_timepoints_at_the_cap_run(self, capsys):
         # so many time points leave no confounding per point: rr ** (1 / T) is 1

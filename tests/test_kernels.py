@@ -30,7 +30,7 @@ from evtv.estimation import Cohort, cohort_cells
 from evtv.report import _cohort_csv_blocks, write_cohort_csv
 from evtv.simulation import SimulationParams, generate_cohort
 
-from _per_row import CELL_MODELS, _chol_solve, fit_logistic, per_row_rr, ungrouped_fits
+from _per_row import CELL_MODELS, _chol_solve, fit_logistic, per_row_rr, stream, ungrouped_fits
 
 
 def logistic_cohort(n: int, seed: int):
@@ -60,7 +60,7 @@ def bootstrap_counts(n: int, seed: int, reps: int) -> np.ndarray:
     draws (estimation.count_rows), cohort = generate_cohort(n, seed)."""
     cells = cohort_cells(generate_cohort(SimulationParams(n=n), seed).observed)
     idx = [
-        _rng.stream(seed, _rng.BOOTSTRAP_DOMAIN, r).integers(0, n, size=n)
+        stream(seed, _rng.BOOTSTRAP_DOMAIN, r).integers(0, n, size=n)
         for r in range(reps)
     ]
     return resample_counts(cells, idx)

@@ -1,6 +1,6 @@
 """The batched seeding path against numpy's own: _rng.states and child_seeds
 must give numpy's SeedSequence words bit for bit, and _rng.generator the
-draws of _rng.stream.  A numpy release that changed SeedSequence would fail
+draws of _per_row.stream.  A numpy release that changed SeedSequence would fail
 here before any cohort, resample or replication seed moved."""
 import random
 
@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from evtv import _rng
+
+from _per_row import child_seed, stream
 
 DOMAINS = (_rng.COHORT_DOMAIN, _rng.BOOTSTRAP_DOMAIN, _rng.REPLICATION_DOMAIN)
 
@@ -42,7 +44,7 @@ def test_child_seeds_match_child_seed(domain):
     for seed in SEEDS[:8]:
         got = _rng.child_seeds(seed, domain, TAGS)
         assert got.dtype == np.uint64
-        assert [int(v) for v in got] == [_rng.child_seed(seed, domain, i) for i in TAGS]
+        assert [int(v) for v in got] == [child_seed(seed, domain, i) for i in TAGS]
 
 
 @pytest.mark.parametrize("seed, domain, tag", [
@@ -52,7 +54,7 @@ def test_child_seeds_match_child_seed(domain):
 def test_generator_draws_as_stream(seed, domain, tag, n):
     # random(), then integers(0, n) below and above 2**32, then random() again
     fast = _rng.generator(_rng.states([seed], domain, [tag])[0, 0])
-    ref = _rng.stream(seed, domain, tag)
+    ref = stream(seed, domain, tag)
     for draw in (lambda g: g.random(17), lambda g: g.integers(0, n, size=33),
                  lambda g: g.integers(0, n), lambda g: g.random(5)):
         assert np.array_equal(draw(fast), draw(ref))

@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evtv import _kernels, _rng, simulation
@@ -23,7 +23,7 @@ from evtv.simulation import (
     true_rr_mc,
 )
 
-from _per_row import cohort_rows, per_row_rr
+from _per_row import child_seed, cohort_rows, per_row_rr, stream
 from test_acceptance import ENUM_ZEROED_CONFOUNDING, ZEROED_PARAMS
 
 # exact enumeration values for the default coefficients, computed with an
@@ -130,7 +130,7 @@ def reference_cohort(p: SimulationParams, seed: int) -> list[np.ndarray]:
     subject, each stream drawn in one call, and the received outcome chosen
     by nested np.where."""
     n = p.n
-    draw = [_rng.stream(seed, _rng.COHORT_DOMAIN, tag).random(n) for tag in range(10)]
+    draw = [stream(seed, _rng.COHORT_DOMAIN, tag).random(n) for tag in range(10)]
     with np.errstate(over="ignore"):
         u0 = (draw[0] < p.p_u0).astype(np.uint8)
         l0 = (draw[1] < p.p_l0).astype(np.uint8)
@@ -173,6 +173,10 @@ class TestProbabilityTables:
     @given(p=saturating_params(st.one_of(st.sampled_from([1, 6, 7, 8, 14, 15]),
                                          st.integers(1, 30))),
            seed=st.integers(0, 2**64 - 1))
+    # the largest one-word seed, then the two-word seeds at both ends
+    @example(p=SimulationParams(n=15), seed=2**32 - 1)
+    @example(p=SimulationParams(n=15), seed=2**32)
+    @example(p=SimulationParams(n=15), seed=2**64 - 1)
     def test_generated_cohort_matches_per_subject_draws(self, p, seed):
         # passes of 7 subjects: n below, at and across the pass edge
         with pytest.MonkeyPatch.context() as mp:
@@ -214,7 +218,7 @@ class TestProbabilityTables:
         expected_counts, expected_means = [], []
         for i in range(reps):
             _, l0, a0, _, l1, a1, po, y = reference_cohort(
-                p, _rng.child_seed(seed, _rng.REPLICATION_DOMAIN, i))
+                p, child_seed(seed, _rng.REPLICATION_DOMAIN, i))
             cells = _kernels.cell_ids(l0, a0, l1, a1, y)
             expected_counts.append(np.bincount(cells, minlength=_kernels.N_CELLS))
             expected_means.append((int(po[:, 3].sum()) / p.n, int(po[:, 0].sum()) / p.n))
@@ -406,7 +410,7 @@ class TestRunReplications:
         p = SimulationParams(n=n)
         results = run_replications(p, 7, reps, bootstrap)
         for i, r in enumerate(results):
-            assert r.seed == _rng.child_seed(7, _rng.REPLICATION_DOMAIN, i)
+            assert r.seed == child_seed(7, _rng.REPLICATION_DOMAIN, i)
             cohort = generate_cohort(p, r.seed)
             msm = analyze_cohort(cohort.observed, bootstrap, r.seed)[0]
             assert (r.rr_obs, r.ci_lower, r.ci_upper, r.weight_mean) == (
@@ -501,12 +505,12 @@ class TestRunReplications:
     def test_stacked_cohorts_match_single_cohorts(self, monkeypatch, bootstrap, reps, n):
         # passes of 200 subjects: three whole cohorts of 60 (replication 0 fails
         # estimation), one cohort below a pass, one filling it, and one over
-        # three passes that keeps its streams; 70 replications cross the
-        # 64-replication hash chunk, 12 with a bootstrap cross a group
+        # three passes that keeps its streams; 70 replications take their 700
+        # streams from one hash, 12 with a bootstrap cross a group
         monkeypatch.setattr(_kernels, "SUBJECT_BLOCK", 200)
         p = SimulationParams(n=n)
         for i, r in enumerate(run_replications(p, 5, reps, bootstrap)):
-            child = _rng.child_seed(5, _rng.REPLICATION_DOMAIN, i)
+            child = child_seed(5, _rng.REPLICATION_DOMAIN, i)
             cohort = generate_cohort(p, child)
             truth = true_rr_mc(cohort)
             try:

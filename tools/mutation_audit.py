@@ -69,9 +69,9 @@ MUTANTS = [
     (SIMULATION, "for first in range(0, cohorts, per):",
      "for first in range(0, cohorts - cohorts % per, per):",
      "the last pass of stacked cohorts, holding fewer than the others, is not drawn"),
-    (SIMULATION, "for c in range(0, size, _STATE_CHUNK)",
-     "for c in range(0, size - size % _STATE_CHUNK, _STATE_CHUNK)",
-     "the streams of a group's last, partial chunk of replications are not hashed"),
+    (SIMULATION, "for ws in words[first:last]]", "for ws in words[:last - first]]",
+     "a later pass seeds its cohorts from the first pass's rows of words: cohort "
+     "first + j draws cohort j's streams"),
     (RNG, "return value ^ (value >> 16)", "return value ^ (value >> 15)",
      "the SeedSequence hashmix shifts by 15, not 16"),
     (RNG, "two = values >= 1 << 32", "two = values > 1 << 32",
