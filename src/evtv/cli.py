@@ -212,22 +212,24 @@ def _cmd_simulate(args) -> str:
     params = _parse_overrides(args.param, args.n)
     seed = _resolve_seed(args)
     if args.reps == 1:
-        record = simulation.run_experiment(params, seed, args.bootstrap)
-        if args.cohort_out:
-            # block by block, as bytes: no whole-file text or buffer
-            with open(args.cohort_out, "wb") as fh:
-                fh.writelines(report._cohort_csv_blocks(record.cohort.observed))
-        return report.write_experiment_json(record)
-    if args.cohort_out:
+        seed, rr_true, msm, rep, cells = simulation._experiment(params, seed, args.bootstrap)
+    elif args.cohort_out:
         raise ValueError("--cohort-out requires a single replication")
-    results = simulation.run_replications(params, seed, args.reps, args.bootstrap)
+    else:
+        results = simulation.run_replications(params, seed, args.reps, args.bootstrap)
     enumerated = {
         "true_rr_enumerated": simulation.true_rr_enumerate(params),
         "true_rr_enumerated_observed_l1": simulation.true_rr_enumerate(
             params, "observed"
         ),
     }
-    return report.write_replication_json(params, seed, results, enumerated)
+    if args.reps != 1:
+        return report.write_replication_json(params, seed, results, enumerated)
+    if args.cohort_out:
+        # from the cell ids, block by block, as bytes: no whole-file text or buffer
+        with open(args.cohort_out, "wb") as fh:
+            fh.writelines(report._cohort_csv_blocks(cells))
+    return report._experiment_json(params, seed, rr_true, enumerated, msm, rep)
 
 
 def _cmd_analyze(args) -> str:

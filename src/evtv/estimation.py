@@ -1,6 +1,6 @@
-"""The cohort, the marginal risk ratio result, analyze_cohort (behind `evtv analyze`
-and `evtv simulate`) and cell_msm, which reads every estimate and its widened bootstrap
-interval, each replication's too, from fitted count rows, for the two-timepoint design.
+"""The cohort, the marginal risk ratio result, analyze_cohort and analyze_counts (behind
+`evtv analyze` and `evtv simulate`) and cell_msm, which reads every estimate and its widened
+bootstrap interval, each replication's too, from fitted count rows, for the two-timepoint design.
 
 The estimand is the marginal risk ratio comparing always treated with
 never treated, from a weighted marginal outcome model under stabilized
@@ -235,7 +235,14 @@ def analyze_cohort(
     resamples (count_rows) under the same failure rules, read by cell_msm.
     Returns (msm, report).
     """
-    counts = count_rows(cohort_cells(cohort), bootstrap, seed)
+    return analyze_counts(count_rows(cohort_cells(cohort), bootstrap, seed), bootstrap,
+                          curve_points)
+
+
+def analyze_counts(counts: np.ndarray, bootstrap: int,
+                   curve_points: int = 0) -> tuple[MsmResult, EValueReport]:
+    """(msm, report) of count_rows' counts, by one rr_cells call and cell_msm:
+    the tail of analyze_cohort and of a simulated cohort's estimate."""
     msm = cell_msm(counts, _kernels.rr_cells(counts), 0, bootstrap)
     estimate = EffectEstimate("rr", msm.rr_obs, msm.ci_lower, msm.ci_upper)
     return msm, build_report(estimate, 2, curve_points)

@@ -209,23 +209,26 @@ def write_cohort_csv(cohort: Cohort) -> str:
     return str(b"".join(_cohort_csv_blocks(cohort)), "ascii")
 
 
-def _cohort_csv_blocks(cohort: Cohort) -> Iterator[bytes]:
-    """The cohort's CSV as bytes: the header, then the rows of each
-    _kernels.SUBJECT_BLOCK subjects, "\n"-terminated one-character cells,
-    filled into one reused block buffer."""
+def _cohort_csv_blocks(cohort) -> Iterator[bytes]:
+    """The CSV of a Cohort, or of a cohort's uint8 cell ids (see
+    _kernels.cell_ids), as bytes: the header, then the rows of each
+    _kernels.SUBJECT_BLOCK subjects, "\n"-terminated one-character cells.
+    A Cohort's block is packed into cell ids first; a block's rows are one
+    `take` from the row text of the 32 cells."""
     import numpy as np
 
-    from ._kernels import SUBJECT_BLOCK
+    from ._kernels import N_CELLS, SUBJECT_BLOCK, cell_ids
 
     yield (",".join(COHORT_COLUMNS) + "\n").encode()
-    n = len(cohort)
-    buf = np.full((min(n, SUBJECT_BLOCK), 2 * len(COHORT_COLUMNS)), ord(","), dtype=np.uint8)
-    buf[:, -1] = ord("\n")
-    for start in range(0, n, SUBJECT_BLOCK):
-        grid = buf[:min(n - start, SUBJECT_BLOCK)]
-        for j, column in enumerate(cohort.columns):
-            np.add(column[start:start + SUBJECT_BLOCK], ord("0"), out=grid[:, 2 * j])
-        yield grid.tobytes()
+    text = np.full((N_CELLS, 2 * len(COHORT_COLUMNS)), ord(","), dtype=np.uint8)
+    text[:, -1] = ord("\n")
+    # cell c's row: its five bits, l0 first, as "0" or "1"
+    text[:, ::2] = (np.arange(N_CELLS)[:, None] >> np.arange(4, -1, -1) & 1) + ord("0")
+    rows = text.view(f"V{text.shape[1]}").ravel()  # a row's bytes as one item
+    for lo in range(0, len(cohort), SUBJECT_BLOCK):
+        cells = (cohort[lo:lo + SUBJECT_BLOCK] if isinstance(cohort, np.ndarray)
+                 else cell_ids(*(c[lo:lo + SUBJECT_BLOCK] for c in cohort.columns)))
+        yield rows.take(cells).tobytes()
 
 
 def _present(doc: dict) -> dict:
@@ -267,14 +270,22 @@ def write_report_json(report: EValueReport) -> str:
 def write_experiment_json(record) -> str:
     """Serialize one simulation experiment, including both enumeration
     conventions so the L1 convention gap stays visible."""
-    return _dumps({
-        "params": _fields(record.params),
-        "seed": record.seed,
-        "true_rr_mc": record.true_rr_mc,
+    return _experiment_json(record.params, record.seed, record.true_rr_mc, {
         "true_rr_enumerated": record.true_rr_enumerated,
         "true_rr_enumerated_observed_l1": record.true_rr_enumerated_observed_l1,
-        "estimate": _fields(record.msm),
-        "report": _report_payload(record.report),
+    }, record.msm, record.report)
+
+
+def _experiment_json(params, seed: int, true_rr_mc: float, enumerated: dict,
+                     msm: MsmResult, report: EValueReport) -> str:
+    # write_experiment_json's document from its parts, enumerated in its key order
+    return _dumps({
+        "params": _fields(params),
+        "seed": seed,
+        "true_rr_mc": true_rr_mc,
+        **enumerated,
+        "estimate": _fields(msm),
+        "report": _report_payload(report),
     })
 
 

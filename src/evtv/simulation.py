@@ -33,7 +33,7 @@ from .estimation import (
     Cohort,
     EstimationError,
     MsmResult,
-    analyze_cohort,
+    analyze_counts,
     cell_msm,
     check_replicates,
     count_rows,
@@ -62,9 +62,9 @@ _TAG_U0, _TAG_L0, _TAG_A0, _TAG_U1, _TAG_L1, _TAG_A1 = range(6)
 _TAG_PO = 6  # tags 6..9 hold the four potential-outcome draws
 
 # size caps, checked before allocating (exit 2, not a MemoryError).  Whole-process
-# peaks (tools/peak_rss.py): `simulate --cohort-out` grows ~14 B per subject above
-# its n=1000 peak, 169 MiB at the cap; `simulate --reps` at n=200 ~1.9 KB per
-# replication (39.5 MiB at 1,000, 52.2 MiB at 8,000), ~220 MiB at the cap
+# peaks (tools/peak_rss.py): `simulate --cohort-out` grows ~1.1 B per subject (its
+# cell ids) above its n=1000 peak, 46 MiB at the cap; `simulate --reps` at n=200
+# ~1.9 KB per replication (39.5 MiB at 1,000, 52.2 MiB at 8,000), ~220 MiB at the cap
 MAX_COHORT_SIZE = 10_000_000
 MAX_REPLICATIONS = 100_000
 
@@ -213,29 +213,24 @@ def _uniforms(gens: list, m: int, tag: int) -> np.ndarray:
 _PASS_COHORTS = 8  # whole cohorts in one pass, at most; their streams live for the pass
 
 
-def _draw_cohorts(params: SimulationParams, seeds, out=None):
-    """Draw one cohort of params.n subjects for each of `seeds`, stacked, into
-    out = (u0, l0, a0, u1, l1, a1, po, y), uint8 arrays of one cohort, or by
-    default buffers that every pass reuses.  Cohort i's streams are
-    (seeds[i], COHORT_DOMAIN, tag) for tags 0-9, hashed for every cohort in one
-    _rng.states call and made generators when the cohort's first pass starts.
-    A pass holds at most SUBJECT_BLOCK subjects: up to _PASS_COHORTS whole
-    cohorts, stacked from 0, or the subjects [lo, hi) of one, which keeps its
-    streams for its next pass.  Yields (first, last, lo, hi, views of out at
-    the pass's subjects) for cohorts first to last - 1.  The probabilities come
-    from _tables, built once per call: a pass packs each variable's parent bits
-    into a uint8 key, gathers the key's probability with `take` and compares it
-    with the stream's uniforms.  A stream drawn in pieces gives the draws of one
-    call (_rng), and a subject's probabilities do not depend on the pass, so no
-    bit depends on the passes.
+def _draw_cohorts(params: SimulationParams, seeds):
+    """Draw one cohort of params.n subjects for each of `seeds`, stacked, in
+    passes of at most SUBJECT_BLOCK subjects: up to _PASS_COHORTS whole
+    cohorts, or the subjects [lo, hi) of one, which keeps its streams for its
+    next pass.  Yields (first, last, lo, hi, cols) for cohorts first to last - 1,
+    cols the uint8 (u0, l0, a0, u1, l1, a1, po, y) of the pass's subjects in
+    buffers that every pass reuses from their start, so memory does not grow
+    with n.  Cohort i's streams are (seeds[i], COHORT_DOMAIN, tag) for tags
+    0-9, hashed for every cohort in one _rng.states call.  The probabilities
+    come from _tables, built once per call: a pass packs each variable's parent
+    bits into a uint8 key, gathers the key's probability with `take` and
+    compares it with the stream's uniforms.  A stream drawn in pieces gives the
+    draws of one call (_rng), so no bit depends on the passes.
     """
     n, cohorts = params.n, len(seeds)
     k = min(n, _kernels.SUBJECT_BLOCK)  # a cohort's subjects in one pass
     per = min(_PASS_COHORTS, _kernels.SUBJECT_BLOCK // k)  # cohorts in one pass
-    if out is None:
-        size = min(per, cohorts) * n
-        out = *(np.empty(size, dtype=np.uint8) for _ in range(6)), np.empty(
-            (size, 4), dtype=np.uint8), np.empty(size, dtype=np.uint8)
+    out = _cohort_arrays(min(per, cohorts) * k)
     words = _rng.states(seeds, _rng.COHORT_DOMAIN, np.arange(_TAG_PO + 4))
     a0_table, l1_table, a1_table, y_tables = _tables(params)
     for first in range(0, cohorts, per):
@@ -246,7 +241,7 @@ def _draw_cohorts(params: SimulationParams, seeds, out=None):
             if lo == 0:
                 gens = [[_rng.generator(w) for w in ws] for ws in words[first:last]]
             # [lo, hi) of one cohort, or [0, n) of each of last - first
-            cols = u0, l0, a0, u1, l1, a1, po, y = [v[lo:(last - first - 1) * n + hi] for v in out]
+            cols = u0, l0, a0, u1, l1, a1, po, y = [v[:(last - first) * m] for v in out]
             u0[:] = _uniforms(gens, m, _TAG_U0) < params.p_u0
             l0[:] = _uniforms(gens, m, _TAG_L0) < params.p_l0
             a0[:] = a0_table.take(_key(l0, u0)) > _uniforms(gens, m, _TAG_A0)
@@ -260,6 +255,19 @@ def _draw_cohorts(params: SimulationParams, seeds, out=None):
             yield first, last, lo, hi, cols
 
 
+def _cohort_arrays(n: int) -> tuple:
+    # uint8 (u0, l0, a0, u1, l1, a1, po, y) of n subjects, po (n, 4), as _draw_cohorts yields them
+    return (*(np.empty(n, dtype=np.uint8) for _ in range(6)),
+            np.empty((n, 4), dtype=np.uint8), np.empty(n, dtype=np.uint8))
+
+
+def _generated(u0, l0, a0, u1, l1, a1, po, y) -> GeneratedCohort:
+    columns = l0, a0, l1, a1, y
+    for v in columns:  # read-only, so the Cohort keeps them without a copy
+        v.flags.writeable = False
+    return GeneratedCohort(observed=Cohort(*columns), u0=u0, u1=u1, potential_outcomes=po)
+
+
 def generate_cohort(params: SimulationParams, seed: int) -> GeneratedCohort:
     """Draw one cohort of params.n subjects, deterministic given seed.
 
@@ -269,18 +277,9 @@ def generate_cohort(params: SimulationParams, seed: int) -> GeneratedCohort:
     uniform draw; the draws share no coupling across regimes beyond the
     common confounders.
     """
-    seed = _rng.check_seed(seed)
-    n = params.n
-    u0, l0, a0, u1, l1, a1, y = (np.empty(n, dtype=np.uint8) for _ in range(7))
-    po = np.empty((n, 4), dtype=np.uint8)
-    # filled pass by pass, each probability computed before its uniforms are
-    # drawn, so at most a few pass-long float arrays are alive at a time
-    for _ in _draw_cohorts(params, [seed], (u0, l0, a0, u1, l1, a1, po, y)):
-        pass
-    columns = l0, a0, l1, a1, y
-    for v in columns:  # read-only, so the Cohort keeps them without a copy
-        v.flags.writeable = False
-    return GeneratedCohort(observed=Cohort(*columns), u0=u0, u1=u1, potential_outcomes=po)
+    cohort = _cohort_arrays(params.n)
+    _count_cohorts(params, [_rng.check_seed(seed)], 0, cohort)
+    return _generated(*cohort)
 
 
 def _true_rr(m11: float, m00: float) -> float:
@@ -354,6 +353,47 @@ def true_rr_enumerate(
         ) from None
 
 
+def _count_cohorts(params: SimulationParams, seeds, bootstrap: int, out=None) -> tuple:
+    """The pass loop behind every simulated cohort: (counts, events, cells) of
+    the cohorts of `seeds`.  counts stacks each cohort's 1 + bootstrap count rows
+    for cell_msm, resampled by count_rows with its seed once its cells are whole;
+    events its never- and always-treated outcome tallies; cells the last cohort's
+    uint8 cell ids if resampling or for one cohort not kept in `out`, else None.
+    `out`, _cohort_arrays of one cohort, receives its columns pass by pass."""
+    n, rows, cohorts = params.n, 1 + bootstrap, len(seeds)
+    counts = np.zeros((cohorts * rows, N_CELLS))
+    events = np.zeros((cohorts, 2), dtype=np.int64)
+    whole = np.empty(n, dtype=np.uint8) if bootstrap or cohorts == 1 and out is None else None
+    for first, last, lo, hi, cols in _draw_cohorts(params, seeds):
+        _, l0, a0, _, l1, a1, po, y = cols
+        g, m = last - first, hi - lo
+        cells = _kernels.cell_ids(l0, a0, l1, a1, y)
+        ids = cells.reshape(g, m) + np.arange(0, g * N_CELLS, N_CELLS)[:, None]
+        counts[first * rows:last * rows:rows] += np.bincount(
+            ids.ravel(), minlength=g * N_CELLS).reshape(g, N_CELLS)
+        events[first:last, 0] += np.count_nonzero(po[:, 0].reshape(g, m), axis=1)
+        events[first:last, 1] += np.count_nonzero(po[:, 3].reshape(g, m), axis=1)
+        for v, c in zip(out or (), cols):
+            v[lo:hi] = c
+        if whole is not None:
+            for j in range(first, last):
+                whole[lo:hi] = cells[(j - first) * m:(j - first + 1) * m]
+                if bootstrap and hi == n:
+                    counts[j * rows:(j + 1) * rows] = count_rows(whole, bootstrap, int(seeds[j]))
+    return counts, events, whole
+
+
+def _experiment(params: SimulationParams, seed: int, bootstrap: int, out=None) -> tuple:
+    """(checked seed, true_rr_mc, msm, report, cell ids) of the cohort of `seed`
+    by _count_cohorts into `out`; an undefined truth raises before estimation."""
+    seed = _rng.check_seed(seed)
+    bootstrap = check_replicates(bootstrap)
+    counts, events, cells = _count_cohorts(params, [seed], bootstrap, out)
+    never, always = events[0].tolist()
+    rr_true = _true_rr(always / params.n, never / params.n)
+    return (seed, rr_true, *analyze_counts(counts, bootstrap), cells)
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentRecord:
     """One full pipeline run: generation, truth, estimation, E-values."""
@@ -380,15 +420,12 @@ def run_experiment(
     the record for oracle comparisons.  bootstrap_replicates = 0 skips
     the interval.  Fully deterministic given (params, seed).
     """
-    seed = _rng.check_seed(seed)
-    check_replicates(bootstrap_replicates)
-    cohort = generate_cohort(params, seed)
-    rr_true = true_rr_mc(cohort)
-    msm, report = analyze_cohort(cohort.observed, bootstrap_replicates, seed)
+    cohort = _cohort_arrays(params.n)
+    seed, rr_true, msm, report, _ = _experiment(params, seed, bootstrap_replicates, cohort)
     return ExperimentRecord(
         params=params,
         seed=seed,
-        cohort=cohort,
+        cohort=_generated(*cohort),
         true_rr_mc=rr_true,
         true_rr_enumerated=true_rr_enumerate(params),
         true_rr_enumerated_observed_l1=true_rr_enumerate(params, "observed"),
@@ -445,24 +482,7 @@ def run_replications(
     for start in range(0, reps, group):
         size = min(group, reps - start)
         children = _rng.child_seeds(seed, _rng.REPLICATION_DOMAIN, np.arange(start, start + size))
-        counts = np.zeros((size * rows, N_CELLS))
-        events = np.zeros((size, 2), dtype=np.int64)  # never- and always-treated outcomes
-        whole = np.empty(n, dtype=np.uint8)  # one cohort's cell ids, for its resamples
-        for first, last, lo, hi, (_, l0, a0, _, l1, a1, po, y) in _draw_cohorts(
-                params, children):
-            g, m = last - first, hi - lo
-            cells = _kernels.cell_ids(l0, a0, l1, a1, y)
-            ids = cells.reshape(g, m) + np.arange(0, g * N_CELLS, N_CELLS)[:, None]
-            counts[first * rows:last * rows:rows] += np.bincount(
-                ids.ravel(), minlength=g * N_CELLS).reshape(g, N_CELLS)
-            events[first:last, 0] += np.count_nonzero(po[:, 0].reshape(g, m), axis=1)
-            events[first:last, 1] += np.count_nonzero(po[:, 3].reshape(g, m), axis=1)
-            if bootstrap:  # a cohort's resamples are drawn once its cells are whole
-                for j in range(first, last):
-                    whole[lo:hi] = cells[(j - first) * m:(j - first + 1) * m]
-                    if hi == n:
-                        counts[j * rows:(j + 1) * rows] = count_rows(
-                            whole, bootstrap, int(children[j]))
+        counts, events, _ = _count_cohorts(params, children, bootstrap)
         fit = rr_cells(counts)
         for j, (never, always) in enumerate(events.tolist()):
             child, estimate = int(children[j]), ()

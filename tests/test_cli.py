@@ -332,10 +332,10 @@ class TestSimulateCommand:
         (str(MAX_BOOTSTRAP_REPLICATES + 1), "replicates must be <= MAX_BOOTSTRAP_REPLICATES"),
     ])
     def test_bootstrap_checked_before_drawing(self, capsys, monkeypatch, bootstrap, message):
-        def undrawn(params, seed):
+        def undrawn(params, seeds):
             raise AssertionError("drew a cohort before checking --bootstrap")
 
-        monkeypatch.setattr(simulation, "generate_cohort", undrawn)
+        monkeypatch.setattr(simulation, "_draw_cohorts", undrawn)
         code, out, err = run_cli(capsys, "simulate", "--n", "60", "--bootstrap", bootstrap)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
@@ -353,6 +353,18 @@ class TestSimulateCommand:
         assert code == 0
         assert len(read_cohort_csv(str(path))) == 80
         assert json.loads(out)["params"]["n"] == 80
+
+    def test_failed_run_writes_no_cohort_file(self, capsys, tmp_path):
+        # the cohort of seed 198 has no event under the never-treated regime
+        path = tmp_path / "cohort.csv"
+        argv = ("simulate", "--n", "4", "--seed", "198", "--bootstrap", "0",
+                "--cohort-out", str(path))
+        message = "error: no events under the never-treated regime; the risk ratio is undefined\n"
+        assert run_cli(capsys, *argv) == (2, "", message)
+        assert not path.exists()
+        path.write_bytes(b"kept\n")
+        assert run_cli(capsys, *argv) == (2, "", message)
+        assert path.read_bytes() == b"kept\n"
 
     @pytest.mark.parametrize("reps", ["0", "-3"])
     def test_reps_below_one_exits_2(self, capsys, reps):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from evtv import _kernels, _rng
+from evtv import _kernels, _rng, cli
 from evtv._kernels import (
     FIT_CONVERGED,
     FIT_MAXITER,
@@ -26,9 +26,10 @@ from evtv._kernels import (
     rr_cells,
     weight_cells,
 )
+from evtv.errors import EstimationError
 from evtv.estimation import Cohort, cohort_cells
-from evtv.report import _cohort_csv_blocks, write_cohort_csv
-from evtv.simulation import SimulationParams, generate_cohort
+from evtv.report import _cohort_csv_blocks, write_cohort_csv, write_experiment_json
+from evtv.simulation import SimulationParams, generate_cohort, run_experiment
 
 from _per_row import CELL_MODELS, _chol_solve, fit_logistic, per_row_rr, stream, ungrouped_fits
 
@@ -569,6 +570,30 @@ class TestSubjectBlocks:
         assert text == "l0,a0,l1,a1,y\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)
         assert len(blocks) == 1 + -(-n // 7)  # the header, then each block's rows
         assert b"".join(blocks) == text.encode()
+
+
+@pytest.mark.parametrize("bootstrap", [0, 100])
+@pytest.mark.parametrize("n", [6, 7, 8, 48, 49, 50])
+def test_simulate_in_passes_matches_run_experiment(monkeypatch, capsys, tmp_path, n, bootstrap):
+    """`evtv simulate --cohort-out` in passes of 7 subjects (one short of,
+    at and one past the first and the seventh pass edge) against
+    run_experiment's record in one pass, written by write_experiment_json and
+    write_cohort_csv.  At seed 2 the estimate fails for n = 6 and 7, and the
+    bootstrap for n = 8; a failed run writes no file."""
+    path = tmp_path / "cohort.csv"
+    monkeypatch.setattr(_kernels, "SUBJECT_BLOCK", 7)
+    code = cli.main(["simulate", "--n", str(n), "--seed", "2", "--bootstrap", str(bootstrap),
+                     "--cohort-out", str(path)])
+    out, err = capsys.readouterr()
+    monkeypatch.setattr(_kernels, "SUBJECT_BLOCK", n)
+    try:
+        rec = run_experiment(SimulationParams(n=n), 2, bootstrap)
+    except EstimationError as exc:
+        assert (code, out, err) == (3, "", f"estimation error: {exc}\n")
+        assert not path.exists()
+        return
+    assert (code, out, err) == (0, write_experiment_json(rec), "")
+    assert path.read_bytes() == write_cohort_csv(rec.cohort.observed).encode()
 
 
 class TestFrozenPipelineOracle:

@@ -7,11 +7,14 @@ to tracemalloc) above the memory in use when it starts, divided by the
 cohort size.  Each bound is the stage's measured peak at n = 200,000
 with about 25% headroom.
 """
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from evtv import cli
 from evtv._kernels import REP_OK, rr_cells
 from evtv.estimation import analyze_cohort, cohort_cells, count_rows
 from evtv.report import _cohort_csv_blocks, read_cohort_csv
@@ -19,10 +22,13 @@ from evtv.simulation import SimulationParams, generate_cohort, run_experiment
 
 N = 200_000
 SEED = 3
-# bytes per subject, from measured peaks of 14.2, 1.7, 15, 1.7 and 14.2; the
-# cohort file's write and the cell counts hold block-long buffers, not n-long
+# bytes per subject, from measured peaks of 14.5, 1.75, 15.0, 1.7, 14.5, 4.5 and
+# 3.5; the cohort file's write and the cell counts hold block-long buffers, not
+# n-long, and the CLI's `simulate` holds the cohort's cell ids (1 B per subject)
+# and one pass's working set (~0.9 MB), not the cohort
 PEAK_BOUNDS = {"generate_cohort": 18, "cohort_out": 2.1, "read_cohort_csv": 19,
-               "analyze_cohort": 2.1, "run_experiment": 18}
+               "analyze_cohort": 2.1, "run_experiment": 18, "simulate_cohort_out": 5.7,
+               "simulate_reps": 4.4}
 # bytes per count row of rr_cells on a 1000-replicate bootstrap, measured at 2101
 RR_CELLS_BOUND = 2300
 
@@ -39,8 +45,14 @@ def peak_per_subject(stage, n):
     return result, (peak - base) / n
 
 
+def simulate(*argv):
+    """`evtv simulate --seed SEED --bootstrap 0 argv` in this process; its JSON is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--seed", str(SEED), "--bootstrap", "0", *argv]) == 0
+
+
 def write_cohort_out(cohort, path):
-    """Write the cohort's CSV as `simulate --cohort-out` does."""
+    """Write the cohort's CSV block by block, as report._cohort_csv_blocks yields it."""
     with open(path, "wb") as fh:
         fh.writelines(_cohort_csv_blocks(cohort))
 
@@ -57,8 +69,12 @@ def pipeline(tmp_path_factory):
         cohort, read = peak_per_subject(lambda: read_cohort_csv(str(path)), n)
         _, fit = peak_per_subject(lambda: analyze_cohort(cohort, 0, SEED), n)
         _, run = peak_per_subject(lambda: run_experiment(SimulationParams(n=n), SEED, 0), n)
+        _, sim = peak_per_subject(
+            lambda: simulate("--n", str(n), "--cohort-out", str(path.with_name("sim.csv"))), n)
+        _, reps = peak_per_subject(lambda: simulate("--n", str(n), "--reps", "2"), n)
     peaks = {"generate_cohort": gen, "cohort_out": out, "read_cohort_csv": read,
-             "analyze_cohort": fit, "run_experiment": run}
+             "analyze_cohort": fit, "run_experiment": run, "simulate_cohort_out": sim,
+             "simulate_reps": reps}
     return generated, cohort, peaks
 
 

@@ -84,6 +84,8 @@ COMMANDS = [
     # logit 38.8 or more; 50 cohorts of 400 fill six 8-cohort passes and part of a seventh
     "simulate --reps 50 --n 400 --bootstrap 0 --seed 21 "
     "--param outcome_model=-0.5,1.0,1.2,0.7,0.8,0.4,-0.7,40 --param a0_model=-0.8,1.2,-45",
+    # one cohort over three subject passes, with resamples of its cell ids
+    "simulate --n 32769 --bootstrap 100 --seed 5",
 ]
 
 FIELDS = ("exit code", "stdout", "stderr", "cohort CSV")
